@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the real data structures the
-// control plane runs on: the DRAM B+Tree, the circular hugeblock pool,
-// and operation-log record encode/append (with and without coalescing).
+// control plane runs on: the DRAM B+Tree, the circular hugeblock pool
+// (alone and under MicroFs file growth), and operation-log record
+// encode/append (with and without coalescing).
 // These measure host CPU, not simulated time — they justify the
 // control-plane cost constants used by the simulation.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "hw/ram_device.h"
 #include "microfs/block_pool.h"
 #include "microfs/bptree.h"
+#include "microfs/microfs.h"
 #include "microfs/oplog.h"
 #include "simcore/engine.h"
 
@@ -72,6 +74,37 @@ void BM_BlockPoolAllocFree(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BlockPoolAllocFree);
+
+void BM_MicroFsTaggedAppend(benchmark::State& state) {
+  // One file grown in 4 MiB tagged appends to range(0) MiB, then
+  // truncated (untimed) and grown again: time per iteration is time per
+  // append. It stays flat across file sizes because growing the block
+  // map costs O(new blocks), not a rescan of the whole map.
+  constexpr uint64_t kAppend = 4_MiB;
+  const uint64_t file_bytes = static_cast<uint64_t>(state.range(0)) * 1_MiB;
+  const std::string path = "/rank0.ckpt";
+  Options options;
+  options.io_batch_hugeblocks = 256;  // as the scaling benches run it
+  sim::Engine eng;
+  hw::RamDevice dev(file_bytes + 16_MiB);
+  auto fs = eng.run_task(MicroFs::format(eng, dev, options)).value();
+  int fd = eng.run_task(fs->creat(path)).value();
+  uint64_t size = 0;
+  for (auto _ : state) {
+    if (size == file_bytes) {
+      state.PauseTiming();
+      NVMECR_CHECK(eng.run_task(fs->close(fd)).ok());
+      fd = eng.run_task(fs->creat(path)).value();
+      size = 0;
+      state.ResumeTiming();
+    }
+    NVMECR_CHECK(eng.run_task(fs->write_tagged(fd, kAppend)).ok());
+    size += kAppend;
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kAppend));
+}
+BENCHMARK(BM_MicroFsTaggedAppend)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_LogRecordEncode(benchmark::State& state) {
   LogRecord rec;

@@ -35,7 +35,7 @@ class BlockPool {
   StatusOr<uint64_t> alloc() {
     if (live_ == 0) return NoSpaceError("hugeblock pool exhausted");
     const uint64_t block = ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
+    if (++head_ == total_) head_ = 0;
     --live_;
     NVMECR_CHECK(!allocated_[block]);
     allocated_[block] = true;
@@ -47,7 +47,11 @@ class BlockPool {
     if (block >= total_) return InvalidArgumentError("block out of range");
     if (!allocated_[block]) return InternalError("double free of hugeblock");
     allocated_[block] = false;
-    ring_[(head_ + live_) % ring_.size()] = block;
+    // head_ < total_ and live_ < total_ (`block` was allocated), so one
+    // subtraction wraps the tail index.
+    uint64_t tail = head_ + live_;
+    if (tail >= total_) tail -= total_;
+    ring_[tail] = block;
     ++live_;
     return OkStatus();
   }
@@ -70,7 +74,7 @@ class BlockPool {
   StatusOr<size_t> deserialize(std::span<const std::byte> in);
 
  private:
-  std::vector<uint64_t> ring_;  // [head_, head_+live_) mod size = free
+  std::vector<uint64_t> ring_;  // [head_, head_+live_) mod total_ = free
   uint64_t head_ = 0;
   uint64_t live_ = 0;
   uint64_t total_ = 0;

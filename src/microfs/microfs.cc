@@ -203,23 +203,36 @@ void MicroFs::record_serialize(SimDuration d) {
 // ---------------------------------------------------------------------
 
 Status MicroFs::ensure_blocks(Inode& inode, uint64_t end) {
-  const uint64_t B = options_.hugeblock_size;
-  const uint64_t needed = ceil_div(end, B);
-  if (needed > inode.blocks.size()) {
-    inode.blocks.resize(needed, kInvalidBlock);
+  const uint64_t have = inode.blocks.size();
+  const uint64_t needed = ceil_div(end, options_.hugeblock_size);
+  if (needed <= have) return OkStatus();
+  // All or nothing: the op that asked for these blocks is never logged if
+  // it fails, so a partial grab would leave blocks that log replay hands
+  // to a later file instead.
+  const uint64_t new_blocks = needed - have;
+  if (pool_.free_count() < new_blocks) {
+    return NoSpaceError("hugeblock pool exhausted");
   }
-  uint64_t new_blocks = 0;
-  for (uint64_t i = 0; i < needed; ++i) {
-    if (inode.blocks[i] == kInvalidBlock) {
-      auto block = pool_.alloc();
-      if (!block.ok()) return block.status();
-      inode.blocks[i] = *block;
-      ++pool_version_;
-      ++new_blocks;
-    }
-  }
-  if (new_blocks > 0 && m_pool_allocs_ != nullptr) {
+  // resize (not push_back) keeps the vector's capacity growth, which
+  // Table I reports through InodeTable::memory_footprint().
+  inode.blocks.resize(needed);
+  for (uint64_t i = have; i < needed; ++i) inode.blocks[i] = *pool_.alloc();
+  pool_version_ += new_blocks;
+  if (m_pool_allocs_ != nullptr) {
     m_pool_allocs_->add(new_blocks);
+    m_pool_occupancy_->set(engine_.now(),
+                           static_cast<double>(pool_.allocated_count()));
+  }
+  return OkStatus();
+}
+
+Status MicroFs::release_blocks(Inode& inode) {
+  for (uint64_t b : inode.blocks) NVMECR_RETURN_IF_ERROR(pool_.free(b));
+  const uint64_t freed = inode.blocks.size();
+  inode.blocks.clear();
+  pool_version_ += freed;
+  if (freed > 0 && m_pool_frees_ != nullptr) {
+    m_pool_frees_->add(freed);
     m_pool_occupancy_->set(engine_.now(),
                            static_cast<double>(pool_.allocated_count()));
   }
@@ -505,20 +518,7 @@ sim::Task<StatusOr<int>> MicroFs::open(const std::string& path,
     if (flags.truncate && inode->size > 0) {
       // Truncation is logged as a CREATE of the same ino (replay resets
       // the file), and frees the data blocks in deterministic order.
-      uint64_t freed = 0;
-      for (uint64_t b : inode->blocks) {
-        if (b != kInvalidBlock) {
-          NVMECR_CO_RETURN_IF_ERROR(pool_.free(b));
-          ++pool_version_;
-          ++freed;
-        }
-      }
-      if (freed > 0 && m_pool_frees_ != nullptr) {
-        m_pool_frees_->add(freed);
-        m_pool_occupancy_->set(engine_.now(),
-                               static_cast<double>(pool_.allocated_count()));
-      }
-      inode->blocks.clear();
+      NVMECR_CO_RETURN_IF_ERROR(release_blocks(*inode));
       inode->size = 0;
       inode->content = ContentKind::kNone;
       coalesce_candidates_.erase(ino);
@@ -581,19 +581,7 @@ sim::Task<Status> MicroFs::unlink(const std::string& path) {
   rec.psize = inodes_.get(parent_ino)->size;
   NVMECR_CO_RETURN_IF_ERROR(co_await log_op(rec, *inode));
 
-  uint64_t freed = 0;
-  for (uint64_t b : inode->blocks) {
-    if (b != kInvalidBlock) {
-      NVMECR_CO_RETURN_IF_ERROR(pool_.free(b));
-      ++pool_version_;
-      ++freed;
-    }
-  }
-  if (freed > 0 && m_pool_frees_ != nullptr) {
-    m_pool_frees_->add(freed);
-    m_pool_occupancy_->set(engine_.now(),
-                           static_cast<double>(pool_.allocated_count()));
-  }
+  NVMECR_CO_RETURN_IF_ERROR(release_blocks(*inode));
   coalesce_candidates_.erase(ino);
   paths_.erase(path);
   if (m_bptree_ops_ != nullptr) m_bptree_ops_->add();
@@ -1043,10 +1031,7 @@ Status MicroFs::replay_record(const LogRecord& rec,
       if (existing != nullptr) {
         if (rec.psize == 0) {
           // Truncation record: reset the file, freeing blocks in order.
-          for (uint64_t b : existing->blocks) {
-            if (b != kInvalidBlock) NVMECR_RETURN_IF_ERROR(pool_.free(b));
-          }
-          existing->blocks.clear();
+          NVMECR_RETURN_IF_ERROR(release_blocks(*existing));
           existing->size = 0;
           existing->content = ContentKind::kNone;
           existing->seed = rec.b;
@@ -1090,9 +1075,7 @@ Status MicroFs::replay_record(const LogRecord& rec,
       // Mirror the live order: tombstone growth (possible parent block
       // allocation) happened before the file's blocks were freed.
       NVMECR_RETURN_IF_ERROR(replay_dirent_growth(rec.parent, rec.psize));
-      for (uint64_t b : inode->blocks) {
-        if (b != kInvalidBlock) NVMECR_RETURN_IF_ERROR(pool_.free(b));
-      }
+      NVMECR_RETURN_IF_ERROR(release_blocks(*inode));
       auto it = ino_paths.find(rec.ino);
       if (it != ino_paths.end()) {
         paths_.erase(it->second);

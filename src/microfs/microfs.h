@@ -282,9 +282,14 @@ class MicroFs {
   static std::string parent_of(const std::string& path);
   static std::string basename_of(const std::string& path);
 
-  /// Ensures hugeblocks cover file bytes [0, end); allocates from the
-  /// circular pool in hugeblock-index order (replay-deterministic).
+  /// Ensures hugeblocks cover file bytes [0, end); allocates the missing
+  /// tail from the circular pool in hugeblock-index order
+  /// (replay-deterministic). All or nothing: on kNoSpace neither the pool
+  /// nor the inode has changed.
   Status ensure_blocks(Inode& inode, uint64_t end);
+  /// Frees every hugeblock of `inode` back to the pool in block-map order
+  /// (replay-deterministic) and empties its block map.
+  Status release_blocks(Inode& inode);
   uint64_t device_offset(const Inode& inode, uint64_t file_off) const;
 
   /// Issues tagged device IO in hugeblock units over the file range

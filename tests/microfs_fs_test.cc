@@ -445,6 +445,49 @@ TEST(MicroFsTest, CoalescingShrinksReplayLength) {
   EXPECT_EQ(without, 51u);  // create + 50 writes
 }
 
+// An append that runs out of hugeblocks is never logged, so it must not
+// keep any block: replay would hand such blocks to a later file, whose
+// recovered block map would then point at another file's data.
+TEST(MicroFsTest, NoSpaceWriteKeepsNoBlocks) {
+  Fixture f;
+  const uint64_t B = Options{}.hugeblock_size;
+  {
+    auto fs = f.format();
+    f.eng.run_task([](MicroFs& m, uint64_t hb) -> sim::Task<void> {
+      auto a = co_await m.creat("/a");
+      auto b = co_await m.creat("/b");
+      EXPECT_TRUE((co_await m.write_tagged(*b, (m.free_blocks() - 8) * hb))
+                      .ok());
+      co_await m.close(*b);
+      EXPECT_EQ(m.free_blocks(), 8u);
+
+      EXPECT_EQ((co_await m.write_tagged(*a, 16 * hb)).code(),
+                ErrorCode::kNoSpace);
+      EXPECT_EQ(m.free_blocks(), 8u);
+      EXPECT_EQ(m.stat("/a")->size, 0u);
+      co_await m.close(*a);
+
+      EXPECT_TRUE((co_await m.unlink("/b")).ok());
+      auto c = co_await m.creat("/c");
+      EXPECT_TRUE((co_await m.write_tagged(*c, 4 * hb)).ok());
+      co_await m.close(*c);
+      auto report = co_await m.fsck();
+      EXPECT_TRUE(report.ok());
+      if (report.ok()) {
+        EXPECT_TRUE(report->clean()) << report->to_string();
+      }
+    }(*fs, B));
+  }
+  auto fs = f.recover();
+  auto report = f.eng.run_task(fs->fsck());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->to_string();
+  f.eng.run_task([](MicroFs& m) -> sim::Task<void> {
+    Status s = co_await m.verify_tagged("/c");
+    EXPECT_TRUE(s.ok()) << s.to_string();
+  }(*fs));
+}
+
 TEST(MicroFsTest, MountOfGarbageDeviceFails) {
   sim::Engine eng;
   hw::RamDevice dev(8_MiB, 4096);

@@ -2,6 +2,8 @@
 // operation log (with coalescing), dirent codec, inode table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
 
 #include "common/rng.h"
@@ -97,6 +99,63 @@ TEST(BlockPoolTest, SerializeRoundtrip) {
   EXPECT_EQ(restored.total(), pool.total());
   // Continued allocation matches.
   for (int i = 0; i < 10; ++i) EXPECT_EQ(*pool.alloc(), *restored.alloc());
+}
+
+TEST(BlockPoolTest, RingWrapMatchesFifoReference) {
+  // A small ring driven through many laps, so the head and tail indexes
+  // wrap hundreds of times: the pool must stay exactly a FIFO free list.
+  constexpr uint64_t kBlocks = 7;
+  BlockPool pool(kBlocks);
+  std::deque<uint64_t> fifo;
+  for (uint64_t b = 0; b < kBlocks; ++b) fifo.push_back(b);
+  std::vector<uint64_t> live;
+  Rng rng(17);
+  uint64_t allocs = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (fifo.empty()) {
+      EXPECT_EQ(pool.alloc().status().code(), ErrorCode::kNoSpace);
+    }
+    if (!fifo.empty() && (live.empty() || rng.uniform(2) == 0)) {
+      auto block = pool.alloc();
+      ASSERT_TRUE(block.ok());
+      ASSERT_EQ(*block, fifo.front());
+      fifo.pop_front();
+      live.push_back(*block);
+      ++allocs;
+    } else {
+      const size_t pick = rng.uniform(live.size());
+      const uint64_t block = live[pick];
+      live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+      ASSERT_TRUE(pool.free(block).ok());
+      fifo.push_back(block);
+      EXPECT_EQ(pool.free(block).code(), ErrorCode::kInternal);
+    }
+    ASSERT_EQ(pool.free_count(), fifo.size());
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      EXPECT_EQ(pool.is_allocated(b),
+                std::find(live.begin(), live.end(), b) != live.end());
+    }
+  }
+  EXPECT_GT(allocs, 100 * kBlocks);
+  EXPECT_EQ(pool.free(kBlocks).code(), ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(pool.is_allocated(kBlocks));
+
+  // A snapshot taken mid-lap restores the wrapped ring: free the live
+  // blocks into both pools, then both hand out the reference sequence.
+  std::vector<std::byte> buf;
+  pool.serialize(buf);
+  BlockPool restored;
+  ASSERT_TRUE(restored.deserialize(buf).ok());
+  for (uint64_t block : live) {
+    ASSERT_TRUE(pool.free(block).ok());
+    ASSERT_TRUE(restored.free(block).ok());
+    fifo.push_back(block);
+  }
+  for (uint64_t want : fifo) {
+    EXPECT_EQ(*pool.alloc(), want);
+    EXPECT_EQ(*restored.alloc(), want);
+  }
+  EXPECT_EQ(restored.alloc().status().code(), ErrorCode::kNoSpace);
 }
 
 TEST(BlockPoolTest, DeserializeRejectsCorruption) {

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the real data structures the
 // control plane runs on: the DRAM B+Tree, the circular hugeblock pool
-// (alone and under MicroFs file growth), and operation-log record
-// encode/append (with and without coalescing).
+// (alone and under MicroFs file growth), operation-log record
+// encode/append (with and without coalescing), and the kernel-FS
+// comparator model's per-write bookkeeping.
 // These measure host CPU, not simulated time — they justify the
 // control-plane cost constants used by the simulation.
 #include <benchmark/benchmark.h>
@@ -10,7 +11,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "hw/nvme_ssd.h"
 #include "hw/ram_device.h"
+#include "kernelfs/localfs.h"
 #include "microfs/block_pool.h"
 #include "microfs/bptree.h"
 #include "microfs/microfs.h"
@@ -105,6 +108,29 @@ void BM_MicroFsTaggedAppend(benchmark::State& state) {
                           static_cast<int64_t>(kAppend));
 }
 BENCHMARK(BM_MicroFsTaggedAppend)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_LocalFsWrite(benchmark::State& state) {
+  // range(0) files held open on one LocalFs (as a DFS server holds one
+  // per rank), written 4 MiB at a time round-robin. write(2) finds its
+  // file through the fd alone, so time per write stays flat in the
+  // number of open files.
+  const auto nfiles = static_cast<size_t>(state.range(0));
+  sim::Engine eng;
+  hw::NvmeSsd ssd(eng, hw::SsdSpec{.capacity = 8_GiB});
+  const uint32_t nsid = ssd.create_namespace(4_GiB).value();
+  kernelfs::LocalFs fs(eng, ssd, nsid);
+  std::vector<int> fds;
+  for (size_t i = 0; i < nfiles; ++i) {
+    fds.push_back(
+        eng.run_task(fs.open("/ckpt/rank" + std::to_string(i), true)).value());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    NVMECR_CHECK(eng.run_task(fs.write(fds[next], 4_MiB)).ok());
+    if (++next == nfiles) next = 0;
+  }
+}
+BENCHMARK(BM_LocalFsWrite)->Arg(16)->Arg(256)->Arg(1024);
 
 void BM_LogRecordEncode(benchmark::State& state) {
   LogRecord rec;

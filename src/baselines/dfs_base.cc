@@ -2,6 +2,25 @@
 
 namespace nvmecr::baselines {
 
+uint64_t stripe_share(uint64_t off, uint64_t len, uint64_t unit,
+                      size_t index, size_t nservers) {
+  if (len == 0 || index >= nservers) return 0;
+  const uint64_t n = nservers;
+  const uint64_t end = off + len;
+  const uint64_t first = off / unit;
+  const uint64_t last = (end - 1) / unit;
+  // k0: this server's first stripe at or after `first`.
+  const uint64_t k0 = first + (index + n - first % n) % n;
+  if (k0 > last) return 0;
+  const uint64_t count = (last - k0) / n + 1;
+  uint64_t share = count * unit;
+  // Only stripe `first` can start before `off`, and only stripe `last`
+  // can run past `end`.
+  if (k0 == first) share -= off - first * unit;
+  if (k0 + (count - 1) * n == last) share -= (last + 1) * unit - end;
+  return share;
+}
+
 /// Client session: forwards ops to servers per the system's placement.
 class DfsClient final : public StorageClient {
  public:
@@ -107,8 +126,8 @@ class DfsClient final : public StorageClient {
     co_await eng.delay(system_.costs_.client_per_op *
                        static_cast<SimDuration>(stripes));
     for (size_t i = 0; i < of.servers.size(); ++i) {
-      const uint64_t share = server_share(of.write_off, len, unit, i,
-                                          of.servers.size());
+      const uint64_t share =
+          stripe_share(of.write_off, len, unit, i, of.servers.size());
       if (share == 0) continue;
       const uint32_t s = of.servers[i];
       const uint64_t stripes_s = ceil_div(share, unit);
@@ -139,7 +158,7 @@ class DfsClient final : public StorageClient {
                        static_cast<SimDuration>(stripes));
     for (size_t i = 0; i < of.servers.size(); ++i) {
       const uint64_t share =
-          server_share(of.read_off, len, unit, i, of.servers.size());
+          stripe_share(of.read_off, len, unit, i, of.servers.size());
       if (share == 0) continue;
       const uint32_t s = of.servers[i];
       const uint64_t stripes_s = ceil_div(share, unit);
@@ -154,23 +173,6 @@ class DfsClient final : public StorageClient {
     }
     of.read_off += len;
     co_return OkStatus();
-  }
-
-  /// Bytes of [off, off+len) that land on the i-th entry of a round-
-  /// robin striping over `nservers` servers with the given unit.
-  static uint64_t server_share(uint64_t off, uint64_t len, uint64_t unit,
-                               size_t index, size_t nservers) {
-    if (nservers == 1) return index == 0 ? len : 0;
-    uint64_t share = 0;
-    const uint64_t first = off / unit;
-    const uint64_t last = (off + len - 1) / unit;
-    for (uint64_t stripe = first; stripe <= last; ++stripe) {
-      if (stripe % nservers != index) continue;
-      const uint64_t s_start = std::max(off, stripe * unit);
-      const uint64_t s_end = std::min(off + len, (stripe + 1) * unit);
-      share += s_end - s_start;
-    }
-    return share;
   }
 
   sim::Task<Status> fsync(int fd) override {

@@ -48,6 +48,13 @@ struct DfsCosts {
   bool serverless_metadata = false;
 };
 
+/// Bytes of [off, off+len) that land on the `index`-th of `nservers`
+/// servers when stripes of `unit` bytes go round-robin (stripe k on
+/// server k mod nservers). O(1): counts the server's whole stripes and
+/// trims the partial head and tail stripes. Zero for `len == 0`.
+uint64_t stripe_share(uint64_t off, uint64_t len, uint64_t unit,
+                      size_t index, size_t nservers);
+
 /// One storage server: kernel FS over the node's SSD + a directory lock.
 struct DfsServer {
   DfsServer(sim::Engine& engine, hw::NvmeSsd& ssd, uint32_t nsid,

@@ -41,8 +41,12 @@ constexpr uint64_t operator""_GBps(unsigned long long v) { return v * 1000ull * 
 /// (non-simulated) devices.
 constexpr SimDuration transfer_time(uint64_t bytes, uint64_t bytes_per_sec) {
   if (bytes_per_sec == 0 || bytes == 0) return 0;
-  // ns = bytes * 1e9 / rate, computed in 128-bit to avoid overflow for
-  // multi-TiB transfers.
+  // ns = bytes * 1e9 / rate. The product fits 64 bits up to ~18.4 GB;
+  // only larger (multi-TiB) transfers pay for the 128-bit divide.
+  if (bytes <= UINT64_MAX / kSecond) {
+    const uint64_t ns = bytes * kSecond / bytes_per_sec;
+    return ns > 0 ? static_cast<SimDuration>(ns) : 1;
+  }
   const auto ns = static_cast<__int128>(bytes) * kSecond / bytes_per_sec;
   return ns > 0 ? static_cast<SimDuration>(ns) : 1;
 }

@@ -60,21 +60,21 @@ sim::Task<StatusOr<int>> LocalFs::open(const std::string& path, bool create) {
     // new inode + directory entry.
     co_await dir_lock_.lock();
     co_await engine_.delay(params_.dir_op_cost);
-    File f;
-    f.seed = mix64(fnv1a(path.data(), path.size()));
-    f.device_base = alloc_cursor_;
+    auto f = std::make_shared<File>();
+    f->seed = mix64(fnv1a(path.data(), path.size()));
+    f->device_base = alloc_cursor_;
     // Reserve a generous window per file; a bump allocator mirrors how
     // little the cost model cares about exact extents.
     alloc_cursor_ += 1_GiB;
-    it = files_.emplace(path, f).first;
+    it = files_.emplace(path, std::move(f)).first;
     ++create_count_;
     dir_lock_.unlock();
   } else {
-    it->second.read_pos = 0;
+    it->second->read_pos = 0;
   }
 
   const int fd = next_fd_++;
-  open_files_.emplace(fd, OpenFile{path});
+  open_files_.emplace(fd, it->second);
   co_return fd;
 }
 
@@ -82,7 +82,9 @@ sim::Task<Status> LocalFs::write(int fd, uint64_t len) {
   SyscallScope scope(engine_, kernel_time_);
   auto of = open_files_.find(fd);
   if (of == open_files_.end()) co_return BadFdError();
-  File& file = files_.at(of->second.path);
+  // The syscall holds its own reference, as the kernel does, so a
+  // concurrent close cannot free the file under it.
+  const std::shared_ptr<File> file = of->second;
 
   co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
   // copy_from_user into the page cache.
@@ -92,8 +94,8 @@ sim::Task<Status> LocalFs::write(int fd, uint64_t len) {
   co_await engine_.delay(
       static_cast<SimDuration>(new_blocks) * params_.alloc_per_block);
 
-  file.size += len;
-  file.dirty += len;
+  file->size += len;
+  file->dirty += len;
   bytes_written_ += len;
   co_return OkStatus();
 }
@@ -122,13 +124,13 @@ sim::Task<Status> LocalFs::fsync(int fd) {
   SyscallScope scope(engine_, kernel_time_);
   auto of = open_files_.find(fd);
   if (of == open_files_.end()) co_return BadFdError();
-  File& file = files_.at(of->second.path);
+  const std::shared_ptr<File> file = of->second;
 
   co_await engine_.delay(costs_.syscall_trap);
-  if (file.dirty > 0) {
-    Status s = co_await writeback(file, file.dirty);
+  if (file->dirty > 0) {
+    Status s = co_await writeback(*file, file->dirty);
     if (!s.ok()) co_return s;
-    file.dirty = 0;
+    file->dirty = 0;
   }
   // Journal commit: serialized (single commit thread), small write +
   // device flush.
@@ -152,21 +154,22 @@ sim::Task<Status> LocalFs::read(int fd, uint64_t len) {
   SyscallScope scope(engine_, kernel_time_);
   auto of = open_files_.find(fd);
   if (of == open_files_.end()) co_return BadFdError();
-  File& file = files_.at(of->second.path);
+  const std::shared_ptr<File> file = of->second;
 
   co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
-  uint64_t remaining = std::min(len, file.size - std::min(file.size, file.read_pos));
+  uint64_t remaining =
+      std::min(len, file->size - std::min(file->size, file->read_pos));
   while (remaining > 0) {
     const uint64_t req = std::min(remaining, costs_.max_request_bytes);
     co_await engine_.delay(costs_.block_layer_per_req);
     const uint64_t aligned = round_up(req, dev_->hw_block_size());
     auto tag = co_await dev_->read_tagged(
-        place(*dev_, file.device_base + file.read_pos, aligned), aligned);
+        place(*dev_, file->device_base + file->read_pos, aligned), aligned);
     if (!tag.ok()) co_return tag.status();
     co_await engine_.delay(costs_.interrupt_per_req);
     // copy_to_user.
     co_await engine_.delay(transfer_time(req, costs_.page_cache_bw));
-    file.read_pos += req;
+    file->read_pos += req;
     remaining -= req;
   }
   co_return OkStatus();

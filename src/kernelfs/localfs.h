@@ -14,11 +14,18 @@
 // better) — calibrated so ext4/XFS land at the efficiencies the paper
 // measures in Figure 7(c). All time spent inside these calls counts as
 // kernel time (§IV-D's 76.5%/79% measurements).
+//
+// Names and descriptors follow POSIX: `open` binds the new fd to the
+// file itself, not to its name, so IO on an fd costs O(1) and never
+// looks the path up again. `unlink` removes only the name; a file that
+// is still open lives on until its last fd is closed, and a later
+// create of the same path makes a new, independent file.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "hw/nvme_ssd.h"
 #include "kernelfs/kernel_costs.h"
@@ -95,6 +102,8 @@ class LocalFs {
   sim::Task<Status> read(int fd, uint64_t len);
 
   sim::Task<Status> close(int fd);
+
+  /// unlink(2): removes the name only; open fds keep the file.
   sim::Task<Status> unlink(const std::string& path);
 
   /// Cumulative simulated time spent inside these syscalls.
@@ -109,9 +118,6 @@ class LocalFs {
     uint64_t read_pos = 0;
     uint64_t seed = 0;        // content identity on the device
     uint64_t device_base = 0; // where this file's data lives
-  };
-  struct OpenFile {
-    std::string path;
   };
 
   /// Flushes `bytes` of a file through writeback pipeline + block layer
@@ -130,8 +136,9 @@ class LocalFs {
   sim::BandwidthResource writeback_pipe_;
   sim::FifoMutex journal_lock_;
 
-  std::map<std::string, File> files_;
-  std::map<int, OpenFile> open_files_;
+  /// Name → file for open/unlink; fd → file for every other op.
+  std::map<std::string, std::shared_ptr<File>> files_;
+  std::unordered_map<int, std::shared_ptr<File>> open_files_;
   int next_fd_ = 3;
   uint64_t alloc_cursor_ = 0;  // simple bump space allocation
 

@@ -147,6 +147,41 @@ TEST(UnitsTest, TransferTimeNoOverflowForTerabytes) {
   EXPECT_NEAR(to_seconds(d), static_cast<double>(tb10) / 2e9, 1e-3);
 }
 
+// transfer_time must stay usable in constant expressions, on both the
+// 64-bit and the 128-bit path.
+static_assert(transfer_time(1_GiB, 0) == 0);
+static_assert(transfer_time(1000000000ull, 1_GBps) == kSecond);
+static_assert(transfer_time(1000000000000ull, 1_GBps) == 1000 * kSecond);
+
+/// The all-128-bit formula the split 64/128-bit version must equal.
+SimDuration transfer_time_reference(uint64_t bytes, uint64_t bytes_per_sec) {
+  if (bytes_per_sec == 0 || bytes == 0) return 0;
+  const auto ns = static_cast<__int128>(bytes) * kSecond / bytes_per_sec;
+  return ns > 0 ? static_cast<SimDuration>(ns) : 1;
+}
+
+TEST(UnitsTest, TransferTimeMatches128BitReference) {
+  constexpr uint64_t kEdge = UINT64_MAX / kSecond;  // last 64-bit byte count
+  for (uint64_t bytes : {uint64_t{1}, uint64_t{1} << 34, kEdge - 1, kEdge,
+                         kEdge + 1, UINT64_MAX}) {
+    for (uint64_t rate : {uint64_t{1}, uint64_t{3}, 1_GBps, UINT64_MAX}) {
+      EXPECT_EQ(transfer_time(bytes, rate),
+                transfer_time_reference(bytes, rate))
+          << bytes << " B at " << rate << " B/s";
+    }
+  }
+  Rng rng(2021);
+  for (int i = 0; i < 100000; ++i) {
+    // Random bit widths, so small, edge-sized and huge values all occur.
+    const uint64_t bytes_shift = rng.uniform(64);
+    const uint64_t bytes = rng.next() >> bytes_shift;
+    const uint64_t rate_shift = rng.uniform(64);
+    const uint64_t rate = rng.next() >> rate_shift;
+    ASSERT_EQ(transfer_time(bytes, rate), transfer_time_reference(bytes, rate))
+        << bytes << " B at " << rate << " B/s";
+  }
+}
+
 TEST(UnitsTest, CeilDivAndRoundUp) {
   EXPECT_EQ(ceil_div(10, 4), 3u);
   EXPECT_EQ(ceil_div(8, 4), 2u);

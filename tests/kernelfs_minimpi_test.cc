@@ -107,6 +107,50 @@ TEST(LocalFsTest, ConcurrentCreatesSerializeOnDirLock) {
   EXPECT_GE(f.eng.now(), 16 * LocalFsParams{}.dir_op_cost);
 }
 
+TEST(LocalFsTest, UnlinkedFileStaysUsableThroughOpenFd) {
+  // POSIX: unlink removes the name; the open fd keeps the file.
+  FsFixture f;
+  LocalFs fs(f.eng, f.ssd, f.nsid);
+  f.eng.run_task([](LocalFs& fs2) -> sim::Task<void> {
+    auto fd = co_await fs2.open("/a", true);
+    EXPECT_TRUE(fd.ok());
+    if (!fd.ok()) co_return;
+    EXPECT_TRUE((co_await fs2.unlink("/a")).ok());
+    EXPECT_TRUE((co_await fs2.write(*fd, 1_MiB)).ok());
+    EXPECT_TRUE((co_await fs2.fsync(*fd)).ok());
+    EXPECT_TRUE((co_await fs2.read(*fd, 1_MiB)).ok());
+    EXPECT_TRUE((co_await fs2.close(*fd)).ok());
+    EXPECT_EQ((co_await fs2.open("/a", false)).status().code(),
+              ErrorCode::kNotFound);
+  }(fs));
+  EXPECT_EQ(fs.bytes_written(), 1_MiB);
+}
+
+TEST(LocalFsTest, RecreatedPathDoesNotSeeUnlinkedFileWrites) {
+  // fd1's file lost its name before /a was created again, so bytes
+  // written through fd1 belong to the old file, not the new one.
+  FsFixture f;
+  LocalFs fs(f.eng, f.ssd, f.nsid);
+  f.eng.run_task([](sim::Engine& e, hw::NvmeSsd& ssd,
+                    LocalFs& fs2) -> sim::Task<void> {
+    auto fd1 = co_await fs2.open("/a", true);
+    EXPECT_TRUE((co_await fs2.unlink("/a")).ok());
+    auto fd2 = co_await fs2.open("/a", true);
+    EXPECT_TRUE(fd1.ok() && fd2.ok());
+    if (!fd1.ok() || !fd2.ok()) co_return;
+    EXPECT_NE(*fd1, *fd2);
+    EXPECT_TRUE((co_await fs2.write(*fd1, 1_MiB)).ok());
+
+    const uint64_t reads_before = ssd.counters().read_commands;
+    const SimTime before = e.now();
+    EXPECT_TRUE((co_await fs2.read(*fd2, 1_MiB)).ok());
+    const KernelCosts costs;
+    EXPECT_EQ(e.now() - before, costs.syscall_trap + costs.vfs_per_op);
+    EXPECT_EQ(ssd.counters().read_commands, reads_before);
+  }(f.eng, f.ssd, fs));
+  EXPECT_EQ(fs.create_count(), 2u);
+}
+
 TEST(LocalFsTest, FsyncWithNoDirtyDataIsCheap) {
   FsFixture f;
   LocalFs fs(f.eng, f.ssd, f.nsid);

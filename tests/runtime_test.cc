@@ -3,10 +3,12 @@
 // multi-level routing, and full CoMD job runs across systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "baselines/consistent_hash.h"
 #include "baselines/models.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "nvmecr/balancer.h"
 #include "nvmecr/cluster.h"
@@ -139,6 +141,63 @@ TEST(ConsistentHashTest, MoreVnodesLowerVariance) {
     return stats.cov();
   };
   EXPECT_GT(cov(2), cov(128));
+}
+
+// ---------------------------------------------------------------------
+// Round-robin striping (OrangeFS-style data placement)
+// ---------------------------------------------------------------------
+
+/// Per-stripe walk: the definition `stripe_share` computes in O(1).
+uint64_t stripe_share_reference(uint64_t off, uint64_t len, uint64_t unit,
+                                size_t index, size_t nservers) {
+  uint64_t share = 0;
+  for (uint64_t pos = off; pos < off + len;) {
+    const uint64_t stripe = pos / unit;
+    const uint64_t stripe_end = std::min(off + len, (stripe + 1) * unit);
+    if (stripe % nservers == index) share += stripe_end - pos;
+    pos = stripe_end;
+  }
+  return share;
+}
+
+TEST(StripeShareTest, MatchesPerStripeReference) {
+  Rng rng(13);
+  for (int i = 0; i < 4000; ++i) {
+    const uint64_t unit = i % 4 == 0 ? 64_KiB : rng.uniform(1, 70000);
+    const size_t n = rng.uniform(1, 12);
+    uint64_t off = rng.uniform(0, 100 * unit);
+    uint64_t len = rng.uniform(0, 40 * unit);
+    if (i % 8 == 1) off -= off % unit;  // aligned start
+    if (i % 8 == 2) len -= len % unit;  // whole stripes
+    if (i % 16 == 3) len = 0;
+    if (i % 8 == 5) off += uint64_t{1} << 40;  // far into a large file
+    uint64_t total = 0;
+    for (size_t s = 0; s < n; ++s) {
+      const uint64_t share = baselines::stripe_share(off, len, unit, s, n);
+      ASSERT_EQ(share, stripe_share_reference(off, len, unit, s, n))
+          << "off " << off << " len " << len << " unit " << unit
+          << " server " << s << " of " << n;
+      total += share;
+    }
+    ASSERT_EQ(total, len);
+  }
+}
+
+TEST(StripeShareTest, ZeroLengthStripedIoCompletes) {
+  // A zero-length write at offset 0 once made the per-stripe walk
+  // underflow its last-stripe index and loop ~2.8e14 times.
+  Cluster cluster;
+  baselines::OrangeFsModel system(cluster, 1, 28);
+  cluster.engine().run_task(
+      [](baselines::OrangeFsModel& sys) -> sim::Task<void> {
+        auto client = (co_await sys.connect(0)).value();
+        auto fd = co_await client->create("/empty");
+        EXPECT_TRUE(fd.ok());
+        if (!fd.ok()) co_return;
+        EXPECT_TRUE((co_await client->write(*fd, 0)).ok());
+        EXPECT_TRUE((co_await client->read(*fd, 0)).ok());
+        EXPECT_TRUE((co_await client->close(*fd)).ok());
+      }(system));
 }
 
 // ---------------------------------------------------------------------

@@ -116,7 +116,7 @@ Result run_spdk_raw(uint64_t bytes_per_proc) {
       uint64_t off = 0;
       while (off < bytes) {
         const uint64_t piece = std::min<uint64_t>(1_MiB, bytes - off);
-        NVMECR_CHECK((co_await dev->write_tagged_batch(
+        NVMECR_CHECK((co_await dev->write_tagged(
                           off, round_up(piece, 32_KiB), 7,
                           static_cast<uint32_t>(piece / 32_KiB)))
                          .ok());

@@ -53,7 +53,7 @@ class CrailClient final : public StorageClient {
       const auto subcmds = static_cast<uint32_t>(
           ceil_div(aligned, 64_KiB));  // Crail's fixed 64 KiB buffers
       co_await system_.staging_->transfer_fair(aligned, 1_MiB);
-      Status s = co_await dev_->write_tagged_batch(
+      Status s = co_await dev_->write_tagged(
           std::min(dev_off, dev_->capacity() - aligned), aligned,
           it->second.seed, subcmds);
       if (!s.ok()) co_return s;
@@ -72,7 +72,7 @@ class CrailClient final : public StorageClient {
         (base_ + it->second.read_off % length_) / dev_->hw_block_size() *
         dev_->hw_block_size();
     co_await system_.staging_->transfer_fair(aligned, 1_MiB);
-    auto tag = co_await dev_->read_tagged_batch(
+    auto tag = co_await dev_->read_tagged(
         std::min(dev_off, dev_->capacity() - aligned), aligned,
         static_cast<uint32_t>(ceil_div(aligned, 64_KiB)));
     if (!tag.ok()) co_return tag.status();

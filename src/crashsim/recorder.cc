@@ -4,94 +4,40 @@
 
 namespace nvmecr::crashsim {
 
-sim::Task<Status> RecordingDevice::write(uint64_t offset,
-                                         std::span<const std::byte> data) {
-  Status s = co_await inner_.write(offset, data);
-  if (s.ok()) {
-    journal_bytes(offset, data);
-    mark_write_boundary();
+sim::Task<Status> RecordingDevice::submit(hw::IoCmd cmd, uint64_t* tag) {
+  Status s = co_await inner_.submit(cmd, tag);
+  if (!s.ok() || cmd.op == hw::IoCmd::Op::kRead) co_return s;
+  if (cmd.op == hw::IoCmd::Op::kWrite) {
+    Mutation m;
+    m.offset = cmd.offset;
+    m.len = cmd.len;
+    m.is_pattern = cmd.tagged;
+    m.seed = cmd.seed;
+    m.bytes.assign(cmd.write_data.begin(), cmd.write_data.end());
+    journal_.push_back(std::move(m));
   }
+  boundaries_.push_back({cmd.op == hw::IoCmd::Op::kWrite ? BoundaryKind::kWrite
+                                                         : BoundaryKind::kFlush,
+                         journal_.size()});
   co_return s;
-}
-
-sim::Task<Status> RecordingDevice::read(uint64_t offset,
-                                        std::span<std::byte> out) {
-  co_return co_await inner_.read(offset, out);
-}
-
-sim::Task<Status> RecordingDevice::write_tagged(uint64_t offset, uint64_t len,
-                                                uint64_t seed) {
-  Status s = co_await inner_.write_tagged(offset, len, seed);
-  if (s.ok()) {
-    journal_pattern(offset, len, seed);
-    mark_write_boundary();
-  }
-  co_return s;
-}
-
-sim::Task<StatusOr<uint64_t>> RecordingDevice::read_tagged(uint64_t offset,
-                                                           uint64_t len) {
-  co_return co_await inner_.read_tagged(offset, len);
-}
-
-sim::Task<Status> RecordingDevice::write_tagged_batch(uint64_t offset,
-                                                      uint64_t len,
-                                                      uint64_t seed,
-                                                      uint32_t subcmds) {
-  Status s = co_await inner_.write_tagged_batch(offset, len, seed, subcmds);
-  if (s.ok()) {
-    // One simulated completion -> one boundary (the batch is a single
-    // event; there is no instant at which only part of it is
-    // acknowledged — partial states are covered by the torn variants).
-    journal_pattern(offset, len, seed);
-    mark_write_boundary();
-  }
-  co_return s;
-}
-
-sim::Task<StatusOr<uint64_t>> RecordingDevice::read_tagged_batch(
-    uint64_t offset, uint64_t len, uint32_t subcmds) {
-  co_return co_await inner_.read_tagged_batch(offset, len, subcmds);
-}
-
-sim::Task<Status> RecordingDevice::flush() {
-  Status s = co_await inner_.flush();
-  if (s.ok()) boundaries_.push_back({BoundaryKind::kFlush, journal_.size()});
-  co_return s;
-}
-
-void RecordingDevice::journal_bytes(uint64_t offset,
-                                    std::span<const std::byte> data) {
-  Mutation m;
-  m.offset = offset;
-  m.len = data.size();
-  m.bytes.assign(data.begin(), data.end());
-  journal_.push_back(std::move(m));
-}
-
-void RecordingDevice::journal_pattern(uint64_t offset, uint64_t len,
-                                      uint64_t seed) {
-  Mutation m;
-  m.offset = offset;
-  m.len = len;
-  m.is_pattern = true;
-  m.seed = seed;
-  journal_.push_back(std::move(m));
 }
 
 uint64_t RecordingDevice::last_mutation_sectors(const Boundary& b) const {
   if (b.mutations == 0) return 0;
   const Mutation& m = journal_[b.mutations - 1];
+  if (m.len == 0) return 0;
   const uint64_t bs = hw_block_size();
   const uint64_t first = m.offset / bs;
   const uint64_t last = (m.offset + m.len - 1) / bs;
   return last - first + 1;
 }
 
-std::unique_ptr<ImageDevice> RecordingDevice::materialize(
+std::unique_ptr<hw::RamDevice> RecordingDevice::materialize(
     const Boundary& boundary, uint64_t torn_sectors) const {
-  auto img = std::make_unique<ImageDevice>(capacity(), hw_block_size(),
-                                           tag_origin());
+  // Pattern tags are a function of the absolute block index, and the
+  // image stores at the recorded device's local offsets.
+  NVMECR_CHECK(tag_origin() == 0);
+  auto img = std::make_unique<hw::RamDevice>(capacity(), hw_block_size());
   const size_t full = (torn_sectors > 0 && boundary.mutations > 0)
                           ? boundary.mutations - 1
                           : boundary.mutations;

@@ -15,7 +15,7 @@
 //   boundaries: (kind, #mutations durable at that point)
 //
 // materialize(b, torn) replays mutations [0, b.mutations) into a fresh
-// ImageDevice; a nonzero `torn` instead replays [0, b.mutations-1) fully
+// RamDevice image; a nonzero `torn` instead replays [0, b.mutations-1) fully
 // plus only the first `torn` hardware sectors of the last one — the
 // state "the crash hit mid-command". The explorer (explore.h) walks all
 // of these and runs recovery + fsck on each.
@@ -25,8 +25,8 @@
 #include <memory>
 #include <vector>
 
-#include "crashsim/image_device.h"
 #include "hw/block_device.h"
+#include "hw/ram_device.h"
 
 namespace nvmecr::crashsim {
 
@@ -50,20 +50,11 @@ class RecordingDevice final : public hw::BlockDevice {
   uint32_t hw_block_size() const override { return inner_.hw_block_size(); }
   uint64_t tag_origin() const override { return inner_.tag_origin(); }
 
-  sim::Task<Status> write(uint64_t offset,
-                          std::span<const std::byte> data) override;
-  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) override;
-  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                 uint64_t seed) override;
-  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                            uint64_t len) override;
-  sim::Task<Status> write_tagged_batch(uint64_t offset, uint64_t len,
-                                       uint64_t seed,
-                                       uint32_t subcmds) override;
-  sim::Task<StatusOr<uint64_t>> read_tagged_batch(uint64_t offset,
-                                                  uint64_t len,
-                                                  uint32_t subcmds) override;
-  sim::Task<Status> flush() override;
+  /// Forwards `cmd`; a successful write is journaled as one mutation
+  /// with one kWrite boundary (a batch is a single simulated completion —
+  /// partial states are covered by the torn variants), a successful flush
+  /// adds a kFlush boundary, and reads record nothing.
+  sim::Task<Status> submit(hw::IoCmd cmd, uint64_t* tag = nullptr) override;
 
   /// Marks the clean end of the recorded run (close of the workload).
   void record_teardown() {
@@ -73,15 +64,19 @@ class RecordingDevice final : public hw::BlockDevice {
   const std::vector<Boundary>& boundaries() const { return boundaries_; }
   size_t journal_size() const { return journal_.size(); }
 
-  /// Hardware sectors the boundary's last mutation spans; tearing is
-  /// only meaningful for boundaries whose final write covers > 1 sector.
+  /// Hardware sectors the boundary's last mutation spans (0 for a
+  /// zero-length write); tearing is only meaningful for boundaries whose
+  /// final write covers > 1 sector.
   uint64_t last_mutation_sectors(const Boundary& b) const;
 
   /// Device state at `boundary`, optionally torn: `torn_sectors` > 0
   /// replays only the first `torn_sectors` hardware sectors of the
   /// boundary's final mutation (must be < last_mutation_sectors).
-  std::unique_ptr<ImageDevice> materialize(const Boundary& boundary,
-                                           uint64_t torn_sectors = 0) const;
+  /// The image has the recorded device's geometry; the recorded device
+  /// must have tag_origin() == 0 (checked), so device-side pattern
+  /// verification of the image sees the same absolute blocks.
+  std::unique_ptr<hw::RamDevice> materialize(const Boundary& boundary,
+                                             uint64_t torn_sectors = 0) const;
 
  private:
   struct Mutation {
@@ -91,12 +86,6 @@ class RecordingDevice final : public hw::BlockDevice {
     uint64_t seed = 0;                // pattern mutations
     std::vector<std::byte> bytes;     // byte mutations (bytes.size() == len)
   };
-
-  void journal_bytes(uint64_t offset, std::span<const std::byte> data);
-  void journal_pattern(uint64_t offset, uint64_t len, uint64_t seed);
-  void mark_write_boundary() {
-    boundaries_.push_back({BoundaryKind::kWrite, journal_.size()});
-  }
 
   hw::BlockDevice& inner_;
   std::vector<Mutation> journal_;

@@ -2,8 +2,11 @@
 //
 // Everything that stores bytes in the system — the simulated NVMe SSD seen
 // through one hardware queue, a RAM device for tests/examples, the NVMf
-// remote device, a partition view — implements this interface. Two IO
-// flavors are provided:
+// remote device, a partition view, and the decorators that add software
+// cost, retries or crash recording — implements this interface. Every IO
+// is one IoCmd handed to submit(), modelled on an NVMe submission queue
+// entry; write/read/write_tagged/read_tagged/flush are helpers that build
+// the command. Two IO flavors are provided:
 //
 //  * byte IO (write/read): moves real bytes; used for all metadata
 //    (directory files, operation log, state checkpoints) and by tests
@@ -19,11 +22,39 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "common/status.h"
 #include "simcore/task.h"
 
 namespace nvmecr::hw {
+
+/// One device command.
+struct IoCmd {
+  enum class Op : uint8_t { kWrite, kRead, kFlush };
+
+  Op op = Op::kWrite;
+  uint64_t offset = 0;  // relative to the receiving device
+  uint64_t len = 0;
+  // Payload: byte writes carry write_data, byte reads fill read_out;
+  // tagged IO carries neither (reads return the tag through submit()).
+  std::span<const std::byte> write_data;
+  std::span<std::byte> read_out;
+  bool tagged = false;
+  uint64_t seed = 0;
+  /// Number of host commands this submission stands for (batched tagged
+  /// IO): semantically `subcmds` back-to-back equal-share commands over
+  /// [offset, offset+len) on the same queue, simulated as one event.
+  /// Devices that model per-command costs charge them this many times.
+  /// Lets the data plane submit hugeblock-granular IO without one
+  /// simulation event per hugeblock.
+  uint32_t subcmds = 1;
+
+  /// Trace-span name of the op.
+  const char* op_name() const {
+    return op == Op::kWrite ? "write" : op == Op::kRead ? "read" : "flush";
+  }
+};
 
 class BlockDevice {
  public:
@@ -41,44 +72,71 @@ class BlockDevice {
   /// this to their local offsets when computing expected tags.
   virtual uint64_t tag_origin() const { return 0; }
 
+  /// Submits one command and completes when the device acknowledges it.
+  /// Tagged reads return the combined tag through `tag`. A flush is a
+  /// durability barrier: it completes when previously acknowledged writes
+  /// are on stable media (device RAM counts — capacitor-backed, §III-D).
+  ///
+  /// `cmd` is taken by value: tasks start lazily, so a reference to a
+  /// command built by a non-coroutine caller would dangle by the time
+  /// the task first runs.
+  virtual sim::Task<Status> submit(IoCmd cmd, uint64_t* tag = nullptr) = 0;
+
   /// Writes real bytes at `offset`.
-  virtual sim::Task<Status> write(uint64_t offset,
-                                  std::span<const std::byte> data) = 0;
+  sim::Task<Status> write(uint64_t offset, std::span<const std::byte> data) {
+    IoCmd cmd;
+    cmd.offset = offset;
+    cmd.len = data.size();
+    cmd.write_data = data;
+    return submit(cmd);
+  }
 
   /// Reads real bytes previously written with write().
-  virtual sim::Task<Status> read(uint64_t offset,
-                                 std::span<std::byte> out) = 0;
-
-  /// Writes `len` pattern bytes identified by `seed` (hw-block aligned).
-  virtual sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                         uint64_t seed) = 0;
-
-  /// Reads back the combined tag over [offset, offset+len).
-  virtual sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                                    uint64_t len) = 0;
-
-  /// Durability barrier: completes when previously acknowledged writes
-  /// are on stable media (device RAM counts — capacitor-backed, §III-D).
-  virtual sim::Task<Status> flush() = 0;
-
-  /// Batched tagged IO: semantically identical to `subcmds` back-to-back
-  /// equal-share commands over [offset, offset+len) issued to the same
-  /// queue, but simulated as one event (per-command costs are still
-  /// charged `subcmds` times by devices that model them). Lets the data
-  /// plane submit hugeblock-granular IO without one simulation event per
-  /// hugeblock. Default forwards to the unbatched op (cost models that
-  /// don't charge per command need nothing more).
-  virtual sim::Task<Status> write_tagged_batch(uint64_t offset, uint64_t len,
-                                               uint64_t seed,
-                                               uint32_t subcmds) {
-    (void)subcmds;
-    co_return co_await write_tagged(offset, len, seed);
+  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) {
+    IoCmd cmd;
+    cmd.op = IoCmd::Op::kRead;
+    cmd.offset = offset;
+    cmd.len = out.size();
+    cmd.read_out = out;
+    return submit(cmd);
   }
-  virtual sim::Task<StatusOr<uint64_t>> read_tagged_batch(uint64_t offset,
-                                                          uint64_t len,
-                                                          uint32_t subcmds) {
-    (void)subcmds;
-    co_return co_await read_tagged(offset, len);
+
+  /// Writes `len` pattern bytes identified by `seed` (hw-block aligned)
+  /// as `subcmds` host commands.
+  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len, uint64_t seed,
+                                 uint32_t subcmds = 1) {
+    return submit(tagged_cmd(IoCmd::Op::kWrite, offset, len, seed, subcmds));
+  }
+
+  /// Reads back the combined tag over [offset, offset+len) as `subcmds`
+  /// host commands.
+  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset, uint64_t len,
+                                            uint32_t subcmds = 1) {
+    uint64_t tag = 0;
+    Status s = co_await submit(
+        tagged_cmd(IoCmd::Op::kRead, offset, len, 0, subcmds), &tag);
+    if (!s.ok()) co_return StatusOr<uint64_t>(s);
+    co_return tag;
+  }
+
+  /// Durability barrier (see submit()).
+  sim::Task<Status> flush() {
+    IoCmd cmd;
+    cmd.op = IoCmd::Op::kFlush;
+    return submit(cmd);
+  }
+
+ private:
+  static IoCmd tagged_cmd(IoCmd::Op op, uint64_t offset, uint64_t len,
+                          uint64_t seed, uint32_t subcmds) {
+    IoCmd cmd;
+    cmd.op = op;
+    cmd.offset = offset;
+    cmd.len = len;
+    cmd.tagged = true;
+    cmd.seed = seed;
+    cmd.subcmds = subcmds;
+    return cmd;
   }
 };
 
@@ -96,53 +154,19 @@ class PartitionView final : public BlockDevice {
     return parent_.tag_origin() + base_;
   }
 
-  sim::Task<Status> write(uint64_t offset,
-                          std::span<const std::byte> data) override {
-    if (offset + data.size() > length_) co_return out_of_range(offset);
-    co_return co_await parent_.write(base_ + offset, data);
-  }
-
-  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) override {
-    if (offset + out.size() > length_) co_return out_of_range(offset);
-    co_return co_await parent_.read(base_ + offset, out);
-  }
-
-  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                 uint64_t seed) override {
-    if (offset + len > length_) co_return out_of_range(offset);
-    co_return co_await parent_.write_tagged(base_ + offset, len, seed);
-  }
-
-  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                            uint64_t len) override {
-    if (offset + len > length_) co_return StatusOr<uint64_t>(out_of_range(offset));
-    co_return co_await parent_.read_tagged(base_ + offset, len);
-  }
-
-  sim::Task<Status> flush() override { co_return co_await parent_.flush(); }
-
-  sim::Task<Status> write_tagged_batch(uint64_t offset, uint64_t len,
-                                       uint64_t seed,
-                                       uint32_t subcmds) override {
-    if (offset + len > length_) co_return out_of_range(offset);
-    co_return co_await parent_.write_tagged_batch(base_ + offset, len, seed,
-                                                  subcmds);
-  }
-  sim::Task<StatusOr<uint64_t>> read_tagged_batch(uint64_t offset,
-                                                  uint64_t len,
-                                                  uint32_t subcmds) override {
-    if (offset + len > length_) {
-      co_return StatusOr<uint64_t>(out_of_range(offset));
-    }
-    co_return co_await parent_.read_tagged_batch(base_ + offset, len, subcmds);
+  // Forwards the parent's task directly: no frame of its own per IO.
+  sim::Task<Status> submit(IoCmd cmd, uint64_t* tag = nullptr) override {
+    if (cmd.offset + cmd.len > length_) return out_of_range(cmd.offset);
+    cmd.offset += base_;
+    return parent_.submit(cmd, tag);
   }
 
   uint64_t base() const { return base_; }
 
  private:
-  Status out_of_range(uint64_t offset) const {
-    return InvalidArgumentError("partition IO out of range at offset " +
-                                std::to_string(offset));
+  static sim::Task<Status> out_of_range(uint64_t offset) {
+    co_return InvalidArgumentError("partition IO out of range at offset " +
+                                   std::to_string(offset));
   }
 
   BlockDevice& parent_;

@@ -161,7 +161,8 @@ Status NvmeSsd::corrupt_media(uint32_t nsid, uint64_t offset, uint64_t len) {
   return OkStatus();
 }
 
-sim::Task<Status> NvmeSsd::submit(Command cmd, uint64_t* tag_out) {
+sim::Task<Status> NvmeSsd::submit(uint32_t nsid, uint32_t queue_id,
+                                  IoCmd cmd, uint64_t* tag_out) {
   // Resumptions this command schedules (the completion wakeup, timeout
   // burns) dispatch under the device's cost center.
   sim::ProfileTagScope profile_scope(engine_, profile_tag_);
@@ -174,27 +175,27 @@ sim::Task<Status> NvmeSsd::submit(Command cmd, uint64_t* tag_out) {
     co_return TimedOutError("device " + name_ + " unresponsive");
   }
   // Validate addressing.
-  auto ns_it = namespaces_.find(cmd.nsid);
+  auto ns_it = namespaces_.find(nsid);
   if (ns_it == namespaces_.end()) co_return NotFoundError("bad nsid");
   Namespace& ns = ns_it->second;
-  if (cmd.op != Op::kFlush && cmd.offset + cmd.len > ns.size) {
+  if (cmd.op != IoCmd::Op::kFlush && cmd.offset + cmd.len > ns.size) {
     co_return InvalidArgumentError("IO beyond namespace end");
   }
-  if (cmd.queue_id >= queues_.size() || !queues_[cmd.queue_id].in_use) {
+  if (queue_id >= queues_.size() || !queues_[queue_id].in_use) {
     co_return BadFdError("invalid hardware queue");
   }
-  Queue& queue = queues_[cmd.queue_id];
+  Queue& queue = queues_[queue_id];
   const uint64_t abs_offset = ns.base + cmd.offset;
 
   // Controller processing (serial across all queues), once per host
   // command represented by this submission.
-  const uint32_t ncmds = cmd.subcommands > 0 ? cmd.subcommands : 1;
+  const uint32_t ncmds = cmd.subcmds > 0 ? cmd.subcmds : 1;
   const SimTime ctrl_done = controller_.reserve(
       static_cast<uint64_t>(spec_.controller_per_cmd) * ncmds);
 
   SimTime completion = ctrl_done;
   switch (cmd.op) {
-    case Op::kWrite: {
+    case IoCmd::Op::kWrite: {
       const SimTime flash_finish =
           reserve_channels(write_channels_, abs_offset, cmd.len, ctrl_done);
       if (spec_.device_ram > 0) {
@@ -239,7 +240,7 @@ sim::Task<Status> NvmeSsd::submit(Command cmd, uint64_t* tag_out) {
       ns.bytes_written += cmd.len;
       break;
     }
-    case Op::kRead: {
+    case IoCmd::Op::kRead: {
       const SimTime read_finish =
           reserve_channels(read_channels_, abs_offset, cmd.len, ctrl_done);
       completion = read_finish + spec_.command_latency;
@@ -255,7 +256,7 @@ sim::Task<Status> NvmeSsd::submit(Command cmd, uint64_t* tag_out) {
       counters_.bytes_read += cmd.len;
       break;
     }
-    case Op::kFlush: {
+    case IoCmd::Op::kFlush: {
       // Durable once every booked flash write has drained.
       SimTime drain = ctrl_done;
       for (auto& ch : write_channels_) {
@@ -281,19 +282,16 @@ sim::Task<Status> NvmeSsd::submit(Command cmd, uint64_t* tag_out) {
   queue.last_completion = completion;
 
   if (m_cmds_ != nullptr) m_cmds_->add(ncmds);
-  if (m_bytes_written_ != nullptr && cmd.op == Op::kWrite) {
+  if (m_bytes_written_ != nullptr && cmd.op == IoCmd::Op::kWrite) {
     m_bytes_written_->add(cmd.len);
   }
-  if (m_bytes_read_ != nullptr && cmd.op == Op::kRead) {
+  if (m_bytes_read_ != nullptr && cmd.op == IoCmd::Op::kRead) {
     m_bytes_read_->add(cmd.len);
   }
   if (obs_.trace != nullptr) {
     // The completion time is already known, so the span can be recorded
     // up front instead of via an RAII guard across the suspension.
-    const char* op_name = cmd.op == Op::kWrite   ? "write"
-                          : cmd.op == Op::kRead ? "read"
-                                                : "flush";
-    obs_.trace->add_span(trace_track_, op_name, engine_.now(), completion,
+    obs_.trace->add_span(trace_track_, cmd.op_name(), engine_.now(), completion,
                          {{"bytes", static_cast<double>(cmd.len)},
                           {"cmds", static_cast<double>(ncmds)}});
   }
@@ -342,100 +340,11 @@ class SsdQueueDevice final : public BlockDevice {
   uint32_t hw_block_size() const override { return ssd_.spec().hw_block_size; }
   uint64_t tag_origin() const override { return origin_; }
 
-  // The Status-shaped ops forward the submit() task directly instead of
-  // awaiting it from a wrapper coroutine — one frame per IO instead of
-  // two (cmd is copied into the submit frame at call time, so the local
-  // is safe to drop). Only the tag-returning reads still need their own
-  // frame, for the tag out-parameter.
-  sim::Task<Status> write(uint64_t offset,
-                          std::span<const std::byte> data) override {
-    NvmeSsd::Command cmd;
-    cmd.op = NvmeSsd::Op::kWrite;
-    cmd.nsid = nsid_;
-    cmd.queue_id = queue_id_;
-    cmd.offset = offset;
-    cmd.len = data.size();
-    cmd.write_data = data;
-    return ssd_.submit(cmd);
-  }
-
-  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) override {
-    NvmeSsd::Command cmd;
-    cmd.op = NvmeSsd::Op::kRead;
-    cmd.nsid = nsid_;
-    cmd.queue_id = queue_id_;
-    cmd.offset = offset;
-    cmd.len = out.size();
-    cmd.read_out = out;
-    return ssd_.submit(cmd);
-  }
-
-  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                 uint64_t seed) override {
-    NvmeSsd::Command cmd;
-    cmd.op = NvmeSsd::Op::kWrite;
-    cmd.nsid = nsid_;
-    cmd.queue_id = queue_id_;
-    cmd.offset = offset;
-    cmd.len = len;
-    cmd.tagged = true;
-    cmd.seed = seed;
-    return ssd_.submit(cmd);
-  }
-
-  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                            uint64_t len) override {
-    NvmeSsd::Command cmd;
-    cmd.op = NvmeSsd::Op::kRead;
-    cmd.nsid = nsid_;
-    cmd.queue_id = queue_id_;
-    cmd.offset = offset;
-    cmd.len = len;
-    cmd.tagged = true;
-    uint64_t tag = 0;
-    Status s = co_await ssd_.submit(cmd, &tag);
-    if (!s.ok()) co_return StatusOr<uint64_t>(s);
-    co_return tag;
-  }
-
-  sim::Task<Status> flush() override {
-    NvmeSsd::Command cmd;
-    cmd.op = NvmeSsd::Op::kFlush;
-    cmd.nsid = nsid_;
-    cmd.queue_id = queue_id_;
-    return ssd_.submit(cmd);
-  }
-
-  sim::Task<Status> write_tagged_batch(uint64_t offset, uint64_t len,
-                                       uint64_t seed,
-                                       uint32_t subcmds) override {
-    NvmeSsd::Command cmd;
-    cmd.op = NvmeSsd::Op::kWrite;
-    cmd.nsid = nsid_;
-    cmd.queue_id = queue_id_;
-    cmd.offset = offset;
-    cmd.len = len;
-    cmd.tagged = true;
-    cmd.seed = seed;
-    cmd.subcommands = subcmds;
-    return ssd_.submit(cmd);
-  }
-
-  sim::Task<StatusOr<uint64_t>> read_tagged_batch(uint64_t offset,
-                                                  uint64_t len,
-                                                  uint32_t subcmds) override {
-    NvmeSsd::Command cmd;
-    cmd.op = NvmeSsd::Op::kRead;
-    cmd.nsid = nsid_;
-    cmd.queue_id = queue_id_;
-    cmd.offset = offset;
-    cmd.len = len;
-    cmd.tagged = true;
-    cmd.subcommands = subcmds;
-    uint64_t tag = 0;
-    Status s = co_await ssd_.submit(cmd, &tag);
-    if (!s.ok()) co_return StatusOr<uint64_t>(s);
-    co_return tag;
+  // Forwards the submit() task directly instead of awaiting it from a
+  // wrapper coroutine: one frame per IO instead of two (cmd is copied
+  // into the submit frame at call time).
+  sim::Task<Status> submit(IoCmd cmd, uint64_t* tag = nullptr) override {
+    return ssd_.submit(nsid_, queue_id_, cmd, tag);
   }
 
  private:

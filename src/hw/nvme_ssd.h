@@ -64,30 +64,14 @@ class NvmeSsd {
   /// The view's offset 0 is the namespace start.
   std::unique_ptr<BlockDevice> open_queue(uint32_t nsid, uint32_t queue_id);
 
-  // --- Raw command path (used by queue views and the kernel driver) ----
-  enum class Op { kWrite, kRead, kFlush };
-
-  struct Command {
-    Op op = Op::kWrite;
-    uint32_t nsid = 0;
-    uint32_t queue_id = 0;
-    uint64_t offset = 0;  // namespace-relative
-    uint64_t len = 0;
-    // Payload: exactly one is used for writes; reads fill read_out or
-    // return a tag.
-    std::span<const std::byte> write_data;
-    std::span<std::byte> read_out;
-    bool tagged = false;
-    uint64_t seed = 0;
-    /// Number of host commands this submission stands for (batched
-    /// tagged IO); per-command controller cost and command counters are
-    /// charged this many times.
-    uint32_t subcommands = 1;
-  };
-
-  /// Submits one command and completes when the device acknowledges it.
-  /// Tagged reads return the combined tag through `tag_out`.
-  sim::Task<Status> submit(Command cmd, uint64_t* tag_out = nullptr);
+  // --- Raw command path (used by queue views) ------------------------
+  /// Submits one command on namespace `nsid` (cmd.offset is namespace-
+  /// relative) through hardware queue `queue_id`, and completes when the
+  /// device acknowledges it. Tagged reads return the combined tag through
+  /// `tag_out`. Per-command controller cost and command counters are
+  /// charged cmd.subcmds times.
+  sim::Task<Status> submit(uint32_t nsid, uint32_t queue_id, IoCmd cmd,
+                           uint64_t* tag_out = nullptr);
 
   // --- fault injection (tests + failure-handling benches) -------------
   /// Fails `count` commands with kIoError after letting the next `after`

@@ -1,9 +1,9 @@
 // Instant (zero simulated latency) block device backed by a PayloadStore.
 //
-// Used by microfs unit tests, the quickstart example, and anywhere real
-// byte-exact storage without a timing model is wanted. All awaitables
-// complete without suspending, so a coroutine chain over a RamDevice runs
-// to completion the moment it is resumed.
+// Used by microfs unit tests, the quickstart example, crash-state images
+// (crashsim), and anywhere real byte-exact storage without a timing model
+// is wanted. All awaitables complete without suspending, so a coroutine
+// chain over a RamDevice runs to completion the moment it is resumed.
 #pragma once
 
 #include "hw/block_device.h"
@@ -19,43 +19,39 @@ class RamDevice final : public BlockDevice {
   uint64_t capacity() const override { return capacity_; }
   uint32_t hw_block_size() const override { return store_.block_size(); }
 
-  sim::Task<Status> write(uint64_t offset,
-                          std::span<const std::byte> data) override {
-    if (offset + data.size() > capacity_) {
-      co_return InvalidArgumentError("write beyond device end");
+  sim::Task<Status> submit(IoCmd cmd, uint64_t* tag = nullptr) override {
+    if (cmd.op == IoCmd::Op::kFlush) co_return OkStatus();
+    const bool is_read = cmd.op == IoCmd::Op::kRead;
+    if (cmd.offset + cmd.len > capacity_) {
+      co_return InvalidArgumentError(is_read ? "read beyond device end"
+                                             : "write beyond device end");
     }
-    store_.write_bytes(offset, data);
-    bytes_written_ += data.size();
+    if (is_read) {
+      if (!cmd.tagged) co_return store_.read_bytes(cmd.offset, cmd.read_out);
+      auto combined = store_.read_combined_tag(cmd.offset, cmd.len);
+      if (!combined.ok()) co_return combined.status();
+      if (tag != nullptr) *tag = *combined;
+      co_return OkStatus();
+    }
+    if (cmd.tagged) {
+      NVMECR_CO_RETURN_IF_ERROR(
+          store_.write_pattern(cmd.offset, cmd.len, cmd.seed));
+    } else {
+      store_.write_bytes(cmd.offset, cmd.write_data);
+    }
+    bytes_written_ += cmd.len;
     co_return OkStatus();
   }
 
-  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) override {
-    if (offset + out.size() > capacity_) {
-      co_return InvalidArgumentError("read beyond device end");
-    }
-    co_return store_.read_bytes(offset, out);
+  /// Synchronous write hooks for building a device image outside the
+  /// simulation (crash-state materialization replays a journal without
+  /// spinning up an engine per state). Not counted in bytes_written().
+  void write_bytes_raw(uint64_t offset, std::span<const std::byte> data) {
+    store_.write_bytes(offset, data);
   }
-
-  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                 uint64_t seed) override {
-    if (offset + len > capacity_) {
-      co_return InvalidArgumentError("write beyond device end");
-    }
-    Status s = store_.write_pattern(offset, len, seed);
-    if (s.ok()) bytes_written_ += len;
-    co_return s;
+  Status write_pattern_raw(uint64_t offset, uint64_t len, uint64_t seed) {
+    return store_.write_pattern(offset, len, seed);
   }
-
-  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                            uint64_t len) override {
-    if (offset + len > capacity_) {
-      co_return StatusOr<uint64_t>(
-          InvalidArgumentError("read beyond device end"));
-    }
-    co_return store_.read_combined_tag(offset, len);
-  }
-
-  sim::Task<Status> flush() override { co_return OkStatus(); }
 
   uint64_t bytes_written() const { return bytes_written_; }
   const PayloadStore& payload() const { return store_; }

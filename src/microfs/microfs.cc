@@ -274,11 +274,11 @@ sim::Task<Status> MicroFs::hugeblock_io(Inode& inode, uint64_t off,
     const uint64_t bytes = run_len_hb * B;
     const auto subcmds = static_cast<uint32_t>(run_len_hb);
     if (is_write) {
-      Status s = co_await dev_.write_tagged_batch(dev_off, bytes,
-                                                  inode.seed, subcmds);
+      Status s =
+          co_await dev_.write_tagged(dev_off, bytes, inode.seed, subcmds);
       if (!s.ok()) co_return s;
     } else {
-      auto tag = co_await dev_.read_tagged_batch(dev_off, bytes, subcmds);
+      auto tag = co_await dev_.read_tagged(dev_off, bytes, subcmds);
       if (!tag.ok()) co_return tag.status();
       const uint64_t expect = hw::PayloadStore::expected_tag(
           inode.seed, dev_.tag_origin() + dev_off, bytes,

@@ -35,82 +35,18 @@ class OverheadDevice final : public hw::BlockDevice {
   uint32_t hw_block_size() const override { return inner_.hw_block_size(); }
   uint64_t tag_origin() const override { return inner_.tag_origin(); }
 
-  sim::Task<Status> write(uint64_t offset,
-                          std::span<const std::byte> data) override {
-    const SimTime start = engine_.now();
-    co_await engine_.delay(costs_.per_op_submit);
-    Status s = co_await inner_.write(offset, data);
-    co_await engine_.delay(costs_.per_op_complete);
-    attribute(start);
-    co_return s;
-  }
-
-  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) override {
-    const SimTime start = engine_.now();
-    co_await engine_.delay(costs_.per_op_submit);
-    Status s = co_await inner_.read(offset, out);
-    co_await engine_.delay(costs_.per_op_complete);
-    attribute(start);
-    co_return s;
-  }
-
-  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                 uint64_t seed) override {
-    const SimTime start = engine_.now();
-    co_await engine_.delay(costs_.per_op_submit);
-    Status s = co_await inner_.write_tagged(offset, len, seed);
-    co_await engine_.delay(costs_.per_op_complete);
-    attribute(start);
-    co_return s;
-  }
-
-  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                            uint64_t len) override {
-    const SimTime start = engine_.now();
-    co_await engine_.delay(costs_.per_op_submit);
-    auto r = co_await inner_.read_tagged(offset, len);
-    co_await engine_.delay(costs_.per_op_complete);
-    attribute(start);
-    co_return r;
-  }
-
-  sim::Task<Status> flush() override {
-    const SimTime start = engine_.now();
-    co_await engine_.delay(costs_.per_op_submit);
-    Status s = co_await inner_.flush();
-    co_await engine_.delay(costs_.per_op_complete);
-    attribute(start);
-    co_return s;
-  }
-
-  // Batched tagged IO still pays the per-command software cost once per
+  // A batch still pays the per-command software cost once per
   // represented command (the kernel path cannot amortize syscalls).
-  sim::Task<Status> write_tagged_batch(uint64_t offset, uint64_t len,
-                                       uint64_t seed,
-                                       uint32_t subcmds) override {
+  sim::Task<Status> submit(hw::IoCmd cmd, uint64_t* tag = nullptr) override {
     const SimTime start = engine_.now();
-    co_await engine_.delay(costs_.per_op_submit * subcmds);
-    Status s = co_await inner_.write_tagged_batch(offset, len, seed, subcmds);
-    co_await engine_.delay(costs_.per_op_complete * subcmds);
-    attribute(start);
+    co_await engine_.delay(costs_.per_op_submit * cmd.subcmds);
+    Status s = co_await inner_.submit(cmd, tag);
+    co_await engine_.delay(costs_.per_op_complete * cmd.subcmds);
+    if (kernel_time_ != nullptr) *kernel_time_ += engine_.now() - start;
     co_return s;
-  }
-  sim::Task<StatusOr<uint64_t>> read_tagged_batch(uint64_t offset,
-                                                  uint64_t len,
-                                                  uint32_t subcmds) override {
-    const SimTime start = engine_.now();
-    co_await engine_.delay(costs_.per_op_submit * subcmds);
-    auto r = co_await inner_.read_tagged_batch(offset, len, subcmds);
-    co_await engine_.delay(costs_.per_op_complete * subcmds);
-    attribute(start);
-    co_return r;
   }
 
  private:
-  void attribute(SimTime start) {
-    if (kernel_time_ != nullptr) *kernel_time_ += engine_.now() - start;
-  }
-
   sim::Engine& engine_;
   hw::BlockDevice& inner_;
   OverheadCosts costs_;

@@ -1,7 +1,5 @@
 #include "nvmf/target.h"
 
-#include <type_traits>
-
 #include "obs/profile.h"
 #include "simcore/profile.h"
 
@@ -13,16 +11,12 @@ using obs::EpochProfiler;
 
 /// Initiator-side view of a remote namespace through one qpair.
 ///
-/// Fast path (DESIGN.md §11): each IO used to suspend through three
-/// separately awaited sub-tasks (request → ssd_view op → response),
-/// costing three coroutine frames per op on the hottest path in the
-/// whole simulation (the nvmf cost center is ~88% of e2e wall time).
-/// The public ops are now plain functions that build ONE io_run frame
-/// covering the entire exchange; the request/response halves are inlined
-/// into it. The awaited timing sequence — and therefore the simulated
-/// schedule — is identical; only host-side frame churn drops. The frame
-/// pool (simcore/task.h) recycles that one frame per session, which is
-/// what makes an explicit per-session scratch task unnecessary.
+/// Fast path (DESIGN.md §11): submit() is ONE coroutine frame covering
+/// the whole exchange — the request and response halves are inlined
+/// rather than awaited as sub-tasks, because this is the hottest path in
+/// the simulation (the nvmf cost center is ~88% of e2e wall time). The
+/// frame pool (simcore/task.h) recycles that one frame per connection,
+/// so no per-connection reusable task is needed.
 class RemoteDevice final : public hw::BlockDevice {
  public:
   RemoteDevice(NvmfTarget& target, fabric::NodeId client,
@@ -40,104 +34,30 @@ class RemoteDevice final : public hw::BlockDevice {
   }
   uint64_t tag_origin() const override { return ssd_view_->tag_origin(); }
 
-  sim::Task<Status> write(uint64_t offset,
-                          std::span<const std::byte> data) override {
-    return io_run<Status>(Kind::kWrite, offset, data.size(), 0, 1, data, {});
-  }
-
-  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) override {
-    return io_run<Status>(Kind::kRead, offset, out.size(), 0, 1, {}, out);
-  }
-
-  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                 uint64_t seed) override {
-    return io_run<Status>(Kind::kWriteTagged, offset, len, seed, 1, {}, {});
-  }
-
-  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                            uint64_t len) override {
-    return io_run<StatusOr<uint64_t>>(Kind::kReadTagged, offset, len, 0, 1,
-                                      {}, {});
-  }
-
-  sim::Task<Status> flush() override {
-    return io_run<Status>(Kind::kFlush, 0, 0, 0, 1, {}, {});
-  }
-
-  sim::Task<Status> write_tagged_batch(uint64_t offset, uint64_t len,
-                                       uint64_t seed,
-                                       uint32_t subcmds) override {
-    return io_run<Status>(Kind::kWriteTaggedBatch, offset, len, seed, subcmds,
-                          {}, {});
-  }
-
-  sim::Task<StatusOr<uint64_t>> read_tagged_batch(uint64_t offset,
-                                                  uint64_t len,
-                                                  uint32_t subcmds) override {
-    return io_run<StatusOr<uint64_t>>(Kind::kReadTaggedBatch, offset, len, 0,
-                                      subcmds, {}, {});
-  }
-
- private:
-  enum class Kind : uint8_t {
-    kWrite,
-    kRead,
-    kWriteTagged,
-    kFlush,
-    kWriteTaggedBatch,
-    kReadTagged,      // tag-returning shape
-    kReadTaggedBatch  // tag-returning shape
-  };
-
-  static const char* op_name(Kind kind) {
-    switch (kind) {
-      case Kind::kWrite:
-      case Kind::kWriteTagged:
-        return "write";
-      case Kind::kRead:
-      case Kind::kReadTagged:
-        return "read";
-      case Kind::kFlush:
-        return "flush";
-      case Kind::kWriteTaggedBatch:
-        return "write_batch";
-      case Kind::kReadTaggedBatch:
-        return "read_batch";
-    }
-    return "?";
-  }
-
-  /// The whole NVMf exchange in one coroutine frame. R is Status for
-  /// write/flush-shaped ops and StatusOr<uint64_t> for tag-returning
-  /// reads; the error-combination rules per shape are unchanged from the
-  /// old three-task version:
-  ///   - request failure wins outright (the command never reached the
+  /// The whole NVMf exchange in one coroutine frame. Error combination:
+  ///   - a request failure wins outright (the command never reached the
   ///     device);
   ///   - otherwise the response leg always runs (it closes the inflight
-  ///     window), and a device error beats a response error for the
-  ///     Status shape while a tag result is only displaced by a response
-  ///     error when the device op itself succeeded.
+  ///     window), and a device error beats a response error.
   ///
   /// Inflight (qpair depth) accounting opens at the top; on a request
   /// failure it closes there too (the command is dead), otherwise the
   /// response half closes it. A crashed target daemon or a down link
   /// surfaces as kUnreachable / kTimedOut after the transport timeout —
   /// never as a hang.
-  template <typename R>
-  sim::Task<R> io_run(Kind kind, uint64_t offset, uint64_t len, uint64_t seed,
-                      uint32_t count, std::span<const std::byte> wdata,
-                      std::span<std::byte> rdata) {
+  sim::Task<Status> submit(hw::IoCmd cmd, uint64_t* tag = nullptr) override {
     sim::Engine& eng = target_.engine();
     const NvmfParams& p = target_.params();
     const obs::Observer& obs = target_.observer();
     const SimTime t0 = eng.now();
-    const bool is_read = kind == Kind::kRead || kind == Kind::kReadTagged ||
-                         kind == Kind::kReadTaggedBatch;
+    const uint32_t count = cmd.subcmds;
+    const bool is_read = cmd.op == hw::IoCmd::Op::kRead;
     // Payload rides the request capsule for writes, the completion for
     // reads; batches pay per-subcommand wire overhead.
-    const uint64_t req_bytes = p.command_bytes * count + (is_read ? 0 : len);
+    const uint64_t req_bytes =
+        p.command_bytes * count + (is_read ? 0 : cmd.len);
     const uint64_t resp_bytes =
-        p.completion_bytes * count + (is_read ? len : 0);
+        p.completion_bytes * count + (is_read ? cmd.len : 0);
 
     // --- request half: initiator CPU, capsule (+ inline data) to the
     // target, poll group. Resumptions scheduled inside the block dispatch
@@ -188,35 +108,7 @@ class RemoteDevice final : public hw::BlockDevice {
     }
 
     // --- device op, under the SSD's own cost center ---
-    Status dev = OkStatus();
-    StatusOr<uint64_t> tag{uint64_t{0}};
-    if constexpr (std::is_same_v<R, Status>) {
-      switch (kind) {
-        case Kind::kWrite:
-          dev = co_await ssd_view_->write(offset, wdata);
-          break;
-        case Kind::kRead:
-          dev = co_await ssd_view_->read(offset, rdata);
-          break;
-        case Kind::kWriteTagged:
-          dev = co_await ssd_view_->write_tagged(offset, len, seed);
-          break;
-        case Kind::kFlush:
-          dev = co_await ssd_view_->flush();
-          break;
-        default:
-          dev = co_await ssd_view_->write_tagged_batch(offset, len, seed,
-                                                       count);
-          break;
-      }
-    } else if (kind == Kind::kReadTagged) {
-      // Statement-level awaits on purpose: a co_await inside a ?: operand
-      // puts the sub-task temporary inside a conditional full-expression,
-      // which GCC 12 mishandles (the result copy aliases the dead frame).
-      tag = co_await ssd_view_->read_tagged(offset, len);
-    } else {
-      tag = co_await ssd_view_->read_tagged_batch(offset, len, count);
-    }
+    Status dev = co_await ssd_view_->submit(cmd, tag);
 
     // --- response half: completion (+ read data) back to the initiator.
     // Always closes the inflight window opened above.
@@ -240,16 +132,12 @@ class RemoteDevice final : public hw::BlockDevice {
         target_.command_end(count);
       }
     }
-    target_.record_op_span(op_name(kind), t0, len);
-    if constexpr (std::is_same_v<R, Status>) {
-      if (!dev.ok()) co_return dev;
-      co_return rs;
-    } else {
-      if (tag.ok() && !rs.ok()) co_return rs;
-      co_return tag;
-    }
+    target_.record_op_span(cmd.op_name(), t0, cmd.len);
+    if (!dev.ok()) co_return dev;
+    co_return rs;
   }
 
+ private:
   NvmfTarget& target_;
   fabric::NodeId client_;
   std::unique_ptr<hw::BlockDevice> ssd_view_;

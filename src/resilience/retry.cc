@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace nvmecr::resilience {
 
@@ -32,8 +31,7 @@ SimDuration RetryDevice::backoff_for(uint32_t attempt) {
   return static_cast<SimDuration>(b);
 }
 
-sim::Task<Status> RetryDevice::with_retries(
-    std::function<sim::Task<Status>()> op) {
+sim::Task<Status> RetryDevice::submit(hw::IoCmd cmd, uint64_t* tag) {
   const SimTime deadline = engine_.now() + policy_.op_deadline;
   for (uint32_t attempt = 1;; ++attempt) {
     if (monitor_.dead(node_)) {
@@ -43,7 +41,7 @@ sim::Task<Status> RetryDevice::with_retries(
       co_return UnreachableError("target node " + std::to_string(node_) +
                                  " is dead (failing fast)");
     }
-    Status s = co_await op();
+    Status s = co_await inner_->submit(cmd, tag);
     if (s.ok()) {
       monitor_.note_ok(node_);
       co_return s;
@@ -61,73 +59,6 @@ sim::Task<Status> RetryDevice::with_retries(
     if (m_retries_ != nullptr) m_retries_->add();
     co_await engine_.delay(backoff);
   }
-}
-
-sim::Task<Status> RetryDevice::write(uint64_t offset,
-                                     std::span<const std::byte> data) {
-  co_return co_await with_retries(
-      [this, offset, data]() { return inner_->write(offset, data); });
-}
-
-sim::Task<Status> RetryDevice::read(uint64_t offset, std::span<std::byte> out) {
-  co_return co_await with_retries(
-      [this, offset, out]() { return inner_->read(offset, out); });
-}
-
-sim::Task<Status> RetryDevice::write_tagged(uint64_t offset, uint64_t len,
-                                            uint64_t seed) {
-  co_return co_await with_retries([this, offset, len, seed]() {
-    return inner_->write_tagged(offset, len, seed);
-  });
-}
-
-sim::Task<Status> RetryDevice::read_tagged_into(uint64_t offset, uint64_t len,
-                                                uint64_t* out) {
-  StatusOr<uint64_t> r = co_await inner_->read_tagged(offset, len);
-  if (r.ok()) *out = r.value();
-  co_return r.status();
-}
-
-sim::Task<Status> RetryDevice::read_tagged_batch_into(uint64_t offset,
-                                                      uint64_t len,
-                                                      uint32_t subcmds,
-                                                      uint64_t* out) {
-  StatusOr<uint64_t> r = co_await inner_->read_tagged_batch(offset, len, subcmds);
-  if (r.ok()) *out = r.value();
-  co_return r.status();
-}
-
-sim::Task<StatusOr<uint64_t>> RetryDevice::read_tagged(uint64_t offset,
-                                                       uint64_t len) {
-  uint64_t tag = 0;
-  Status s = co_await with_retries([this, offset, len, &tag]() {
-    return read_tagged_into(offset, len, &tag);
-  });
-  if (!s.ok()) co_return StatusOr<uint64_t>(s);
-  co_return tag;
-}
-
-sim::Task<Status> RetryDevice::flush() {
-  co_return co_await with_retries([this]() { return inner_->flush(); });
-}
-
-sim::Task<Status> RetryDevice::write_tagged_batch(uint64_t offset, uint64_t len,
-                                                  uint64_t seed,
-                                                  uint32_t subcmds) {
-  co_return co_await with_retries([this, offset, len, seed, subcmds]() {
-    return inner_->write_tagged_batch(offset, len, seed, subcmds);
-  });
-}
-
-sim::Task<StatusOr<uint64_t>> RetryDevice::read_tagged_batch(uint64_t offset,
-                                                             uint64_t len,
-                                                             uint32_t subcmds) {
-  uint64_t tag = 0;
-  Status s = co_await with_retries([this, offset, len, subcmds, &tag]() {
-    return read_tagged_batch_into(offset, len, subcmds, &tag);
-  });
-  if (!s.ok()) co_return StatusOr<uint64_t>(s);
-  co_return tag;
 }
 
 std::function<std::unique_ptr<hw::BlockDevice>(

@@ -58,20 +58,10 @@ class RetryDevice final : public hw::BlockDevice {
   uint32_t hw_block_size() const override { return inner_->hw_block_size(); }
   uint64_t tag_origin() const override { return inner_->tag_origin(); }
 
-  sim::Task<Status> write(uint64_t offset,
-                          std::span<const std::byte> data) override;
-  sim::Task<Status> read(uint64_t offset, std::span<std::byte> out) override;
-  sim::Task<Status> write_tagged(uint64_t offset, uint64_t len,
-                                 uint64_t seed) override;
-  sim::Task<StatusOr<uint64_t>> read_tagged(uint64_t offset,
-                                            uint64_t len) override;
-  sim::Task<Status> flush() override;
-  sim::Task<Status> write_tagged_batch(uint64_t offset, uint64_t len,
-                                       uint64_t seed,
-                                       uint32_t subcmds) override;
-  sim::Task<StatusOr<uint64_t>> read_tagged_batch(uint64_t offset,
-                                                  uint64_t len,
-                                                  uint32_t subcmds) override;
+  /// Submits `cmd` to the inner device, re-submitting the same command
+  /// on retryable errors (every command is an idempotent write/read at a
+  /// fixed offset, or a flush).
+  sim::Task<Status> submit(hw::IoCmd cmd, uint64_t* tag = nullptr) override;
 
   fabric::NodeId storage_node() const { return node_; }
   uint64_t retries() const { return retries_; }
@@ -81,18 +71,6 @@ class RetryDevice final : public hw::BlockDevice {
  private:
   /// Backoff before retry `attempt` (1-based retry index), jittered.
   SimDuration backoff_for(uint32_t attempt);
-
-  /// Retry driver shared by all ops. `op` is re-invoked per attempt and
-  /// must be safe to repeat (all our ops are idempotent writes/reads at
-  /// fixed offsets).
-  sim::Task<Status> with_retries(std::function<sim::Task<Status>()> op);
-
-  /// StatusOr adapters: thread the value out through `out` so the
-  /// Status-typed retry driver can be shared.
-  sim::Task<Status> read_tagged_into(uint64_t offset, uint64_t len,
-                                     uint64_t* out);
-  sim::Task<Status> read_tagged_batch_into(uint64_t offset, uint64_t len,
-                                           uint32_t subcmds, uint64_t* out);
 
   sim::Engine& engine_;
   std::unique_ptr<hw::BlockDevice> inner_;

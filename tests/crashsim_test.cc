@@ -59,22 +59,30 @@ TEST(CrashSimTest, RecorderJournalsWritesAndBoundaries) {
     EXPECT_TRUE((co_await d.write(0, buf)).ok());
     EXPECT_TRUE((co_await d.flush()).ok());
     EXPECT_TRUE((co_await d.write_tagged(4096, 2048, /*seed=*/7)).ok());
+    // A batch of 8 commands is one simulated completion: one mutation and
+    // one boundary. Reads record nothing.
+    EXPECT_TRUE((co_await d.write_tagged(8192, 4096, /*seed=*/9, 8)).ok());
+    EXPECT_TRUE((co_await d.read_tagged(8192, 4096, 8)).ok());
+    std::vector<std::byte> out(512);
+    EXPECT_TRUE((co_await d.read(0, out)).ok());
   }(rec));
   rec.record_teardown();
 
-  ASSERT_EQ(rec.boundaries().size(), 4u);
+  ASSERT_EQ(rec.boundaries().size(), 5u);
   EXPECT_EQ(rec.boundaries()[0].kind, BoundaryKind::kWrite);
   EXPECT_EQ(rec.boundaries()[1].kind, BoundaryKind::kFlush);
   EXPECT_EQ(rec.boundaries()[2].kind, BoundaryKind::kWrite);
-  EXPECT_EQ(rec.boundaries()[3].kind, BoundaryKind::kTeardown);
-  EXPECT_EQ(rec.journal_size(), 2u);
+  EXPECT_EQ(rec.boundaries()[3].kind, BoundaryKind::kWrite);
+  EXPECT_EQ(rec.boundaries()[4].kind, BoundaryKind::kTeardown);
+  EXPECT_EQ(rec.journal_size(), 3u);
+  EXPECT_EQ(rec.last_mutation_sectors(rec.boundaries()[3]), 8u);
 
   // The 1536-byte write spans 3 sectors; tearing after 1 sector leaves
   // exactly 512 durable bytes of it.
   EXPECT_EQ(rec.last_mutation_sectors(rec.boundaries()[0]), 3u);
   auto torn = rec.materialize(rec.boundaries()[0], /*torn_sectors=*/1);
   sim::Engine eng2;
-  eng2.run_task([](ImageDevice& img) -> sim::Task<void> {
+  eng2.run_task([](hw::RamDevice& img) -> sim::Task<void> {
     std::vector<std::byte> head(512);
     EXPECT_TRUE((co_await img.read(0, head)).ok());
     for (std::byte b : head) EXPECT_EQ(b, std::byte{0xab});
@@ -84,10 +92,10 @@ TEST(CrashSimTest, RecorderJournalsWritesAndBoundaries) {
     for (std::byte b : tail) EXPECT_EQ(b, std::byte{0});
   }(*torn));
 
-  // The full state at the teardown boundary reproduces both writes.
-  auto full = rec.materialize(rec.boundaries()[3]);
+  // The full state at the teardown boundary reproduces every write.
+  auto full = rec.materialize(rec.boundaries()[4]);
   sim::Engine eng3;
-  eng3.run_task([](ImageDevice& img) -> sim::Task<void> {
+  eng3.run_task([](hw::RamDevice& img) -> sim::Task<void> {
     std::vector<std::byte> all(1536);
     EXPECT_TRUE((co_await img.read(0, all)).ok());
     for (std::byte b : all) EXPECT_EQ(b, std::byte{0xab});
@@ -96,7 +104,35 @@ TEST(CrashSimTest, RecorderJournalsWritesAndBoundaries) {
     if (tag.ok()) {
       EXPECT_EQ(*tag, hw::PayloadStore::expected_tag(7, 4096, 2048, 512));
     }
+    auto batch = co_await img.read_tagged(8192, 4096);
+    EXPECT_TRUE(batch.ok());
+    if (batch.ok()) {
+      EXPECT_EQ(*batch, hw::PayloadStore::expected_tag(9, 8192, 4096, 512));
+    }
   }(*full));
+}
+
+// A zero-length write is one boundary with nothing to tear: it spans no
+// sector (the sector span must not compute (offset + len - 1) / bs, which
+// wraps for len 0 at offset 0 and would ask for 2^55 torn states).
+TEST(CrashSimTest, ZeroLengthWriteHasNoTornStates) {
+  sim::Engine eng;
+  hw::RamDevice ram(1_MiB, 512);
+  RecordingDevice rec(ram);
+  eng.run_task([](RecordingDevice& d) -> sim::Task<void> {
+    EXPECT_TRUE((co_await d.write(0, {})).ok());
+  }(rec));
+  ASSERT_EQ(rec.boundaries().size(), 1u);
+  EXPECT_EQ(rec.last_mutation_sectors(rec.boundaries()[0]), 0u);
+
+  ExploreOptions opts;
+  opts.torn = ExploreOptions::Torn::kSampled;
+  // The image holds no file system, so recovery fails with a typed error;
+  // that is acceptable for a state before require_recovery_from.
+  opts.require_recovery_from = 1;
+  const ExploreResult res = explore(rec, opts);
+  EXPECT_TRUE(res.ok()) << res.summary();
+  EXPECT_EQ(res.states, 1u);
 }
 
 // The headline acceptance property: every persistence boundary of a

@@ -1,5 +1,6 @@
 // Tests for the cluster topology, the RDMA network model, the NVMf
-// target/initiator pair, the SPDK local driver, and the overhead wrapper.
+// target/initiator pair, SpdkLocalDevice, the overhead wrapper, and the
+// IoCmd forwarding contract of PartitionView and OverheadDevice.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -228,8 +229,11 @@ TEST(NvmfTest, TargetCountsCommands) {
     for (int i = 0; i < 10; ++i) {
       co_await d.write_tagged(static_cast<uint64_t>(i) * 32_KiB, 32_KiB, 1);
     }
+    // A batch carries all of its commands to the target and the SSD.
+    co_await d.write_tagged(1_MiB, 256_KiB, 1, /*subcmds=*/8);
   }(*dev));
-  EXPECT_EQ(f.target.commands_processed(), 10u);
+  EXPECT_EQ(f.target.commands_processed(), 18u);
+  EXPECT_EQ(f.ssd.counters().write_commands, 18u);
 }
 
 // ---------------------------------------------------------------------
@@ -245,6 +249,20 @@ TEST(SpdkTest, OwnsAndReleasesQueue) {
     EXPECT_EQ(ssd.queues_in_use(), 1u);
   }
   EXPECT_EQ(ssd.queues_in_use(), 0u);
+}
+
+TEST(SpdkTest, BatchIsChargedAsOneCommand) {
+  sim::Engine eng;
+  hw::NvmeSsd ssd(eng, hw::SsdSpec{.capacity = 1_GiB});
+  const uint32_t nsid = *ssd.create_namespace(64_MiB);
+  auto dev = nvmf::SpdkLocalDevice::open(ssd, nsid).value();
+  eng.run_task([](hw::BlockDevice& d) -> sim::Task<void> {
+    EXPECT_TRUE((co_await d.write_tagged(0, 256_KiB, 1, /*subcmds=*/8)).ok());
+  }(*dev));
+  // Today's model (ROADMAP: "SpdkLocalDevice charges a batch as one
+  // command"). Forwarding subcmds is a model change; it flips this to 8
+  // on purpose.
+  EXPECT_EQ(ssd.counters().write_commands, 1u);
 }
 
 TEST(OverheadDeviceTest, ChargesAndAttributesKernelTime) {
@@ -275,6 +293,101 @@ TEST(OverheadDeviceTest, NullAccumulatorIsFine) {
     EXPECT_TRUE((co_await d.flush()).ok());
   }(dev));
   EXPECT_EQ(eng.now(), 1_us);
+}
+
+// ---------------------------------------------------------------------
+// IoCmd forwarding contract of the device decorators
+// ---------------------------------------------------------------------
+
+/// Terminal device that records every command it receives and answers
+/// tagged reads with a fixed tag.
+class ProbeDevice final : public hw::BlockDevice {
+ public:
+  static constexpr uint64_t kTag = 0x5eed;
+  uint64_t capacity() const override { return 1_GiB; }
+  uint32_t hw_block_size() const override { return 4096; }
+  sim::Task<Status> submit(hw::IoCmd cmd, uint64_t* tag = nullptr) override {
+    cmds.push_back(cmd);
+    if (tag != nullptr) *tag = kTag;
+    co_return OkStatus();
+  }
+  std::vector<hw::IoCmd> cmds;
+};
+
+/// One command of every shape through `d`: byte write and read, a tagged
+/// write and read batch of 8 commands, and a flush. Returns the tag the
+/// batch read produced.
+sim::Task<uint64_t> submit_every_shape(hw::BlockDevice& d) {
+  std::vector<std::byte> data(512, std::byte{7});
+  std::vector<std::byte> out(512);
+  EXPECT_TRUE((co_await d.write(4096, data)).ok());
+  EXPECT_TRUE((co_await d.read(4096, out)).ok());
+  EXPECT_TRUE((co_await d.write_tagged(8192, 64_KiB, /*seed=*/42, 8)).ok());
+  auto tag = co_await d.read_tagged(8192, 64_KiB, 8);
+  EXPECT_TRUE((co_await d.flush()).ok());
+  co_return tag.ok() ? *tag : 0;
+}
+
+/// The probe saw exactly submit_every_shape()'s commands, shifted by
+/// `shift` (a flush carries no address, so only its op is checked).
+void expect_every_shape(const std::vector<hw::IoCmd>& got, uint64_t shift) {
+  using Op = hw::IoCmd::Op;
+  struct Want {
+    Op op;
+    uint64_t offset, len;
+    bool tagged;
+    uint64_t seed;
+    uint32_t subcmds;
+  };
+  const Want want[] = {{Op::kWrite, 4096, 512, false, 0, 1},
+                       {Op::kRead, 4096, 512, false, 0, 1},
+                       {Op::kWrite, 8192, 64_KiB, true, 42, 8},
+                       {Op::kRead, 8192, 64_KiB, true, 0, 8},
+                       {Op::kFlush, 0, 0, false, 0, 1}};
+  ASSERT_EQ(got.size(), std::size(want));
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].op, want[i].op);
+    if (want[i].op == Op::kFlush) continue;
+    EXPECT_EQ(got[i].offset, want[i].offset + shift);
+    EXPECT_EQ(got[i].len, want[i].len);
+    EXPECT_EQ(got[i].tagged, want[i].tagged);
+    EXPECT_EQ(got[i].seed, want[i].seed);
+    EXPECT_EQ(got[i].subcmds, want[i].subcmds);
+  }
+  EXPECT_EQ(got[0].write_data.size(), 512u);
+  EXPECT_EQ(got[1].read_out.size(), 512u);
+}
+
+TEST(IoCmdForwardingTest, PartitionViewShiftsAndBoundsChecks) {
+  sim::Engine eng;
+  ProbeDevice probe;
+  hw::PartitionView view(probe, 1_MiB, 16_MiB);
+  EXPECT_EQ(eng.run_task(submit_every_shape(view)), ProbeDevice::kTag);
+  expect_every_shape(probe.cmds, 1_MiB);
+
+  // Out-of-range IO is rejected without reaching the parent.
+  eng.run_task([](hw::BlockDevice& d) -> sim::Task<void> {
+    Status w = co_await d.write_tagged(16_MiB - 4096, 8192, 1, 2);
+    EXPECT_EQ(w.code(), ErrorCode::kInvalidArgument);
+    auto r = co_await d.read_tagged(16_MiB, 4096);
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  }(view));
+  EXPECT_EQ(probe.cmds.size(), 5u);
+}
+
+TEST(IoCmdForwardingTest, OverheadDeviceChargesPerSubcommand) {
+  sim::Engine eng;
+  ProbeDevice probe;
+  SimDuration kernel_time = 0;
+  nvmf::OverheadDevice dev(
+      eng, probe, {.per_op_submit = 2_us, .per_op_complete = 3_us},
+      &kernel_time);
+  EXPECT_EQ(eng.run_task(submit_every_shape(dev)), ProbeDevice::kTag);
+  expect_every_shape(probe.cmds, 0);
+  // (submit + complete) x subcmds: three single commands, two batches of 8.
+  EXPECT_EQ(eng.now(), 5_us * (3 + 2 * 8));
+  EXPECT_EQ(kernel_time, eng.now());
 }
 
 }  // namespace

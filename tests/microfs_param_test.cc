@@ -169,7 +169,7 @@ TEST_P(SsdGeometrySweep, SustainedWriteBoundedBySpec) {
   constexpr uint64_t kTotal = 512_MiB;
   eng.run_task([](hw::BlockDevice& d) -> sim::Task<void> {
     for (uint64_t off = 0; off < kTotal; off += 4_MiB) {
-      EXPECT_TRUE((co_await d.write_tagged_batch(off, 4_MiB, 3, 128)).ok());
+      EXPECT_TRUE((co_await d.write_tagged(off, 4_MiB, 3, 128)).ok());
     }
     EXPECT_TRUE((co_await d.flush()).ok());
   }(*dev));

@@ -1,7 +1,8 @@
 // Resilience layer tests (DESIGN.md §13): typed retryable errors and the
-// shim errno mapping, link-fault windows on the fabric, detection
-// hysteresis (a 10x straggler must NOT be declared dead; a crashed
-// target MUST be, deterministically), balancer domain exclusion with
+// shim errno mapping, RetryDevice re-submitting the same command,
+// link-fault windows on the fabric, detection hysteresis (a 10x
+// straggler must NOT be declared dead; a crashed target MUST be,
+// deterministically), balancer domain exclusion with
 // typed exhaustion, mid-checkpoint failover to a partner-domain spare,
 // background healing back to full redundancy, and the 2-of-8 fault-storm
 // acceptance run with bit-identical metrics across two runs.
@@ -95,6 +96,66 @@ TEST(ResilienceStatusTest, RetryableTaxonomyAndErrnos) {
             nvmecr_rt::ShimErrno::kHostUnreach);
   EXPECT_EQ(static_cast<int>(nvmecr_rt::ShimErrno::kTimedOut), 110);
   EXPECT_EQ(static_cast<int>(nvmecr_rt::ShimErrno::kHostUnreach), 113);
+}
+
+// ---------------------------------------------------------------------------
+// RetryDevice re-submission
+
+/// Terminal device that records every command it receives and answers
+/// tagged reads with a fixed tag. The next `fail_next` commands fail with
+/// a retryable error.
+class ProbeDevice final : public hw::BlockDevice {
+ public:
+  static constexpr uint64_t kTag = 0x5eed;
+  uint64_t capacity() const override { return 1_GiB; }
+  uint32_t hw_block_size() const override { return 4096; }
+  sim::Task<Status> submit(hw::IoCmd cmd, uint64_t* tag = nullptr) override {
+    cmds.push_back(cmd);
+    if (fail_next > 0) {
+      --fail_next;
+      co_return UnavailableError("probe busy");
+    }
+    if (tag != nullptr) *tag = kTag;
+    co_return OkStatus();
+  }
+  std::vector<hw::IoCmd> cmds;
+  uint32_t fail_next = 0;
+};
+
+// A retry re-submits the very same command: offset, length, seed and
+// batch size reach the device unchanged on every attempt, and the tag of
+// the successful attempt comes back.
+TEST(RetryDeviceTest, ResubmitsTheSameCommand) {
+  sim::Engine eng;
+  const fabric::Topology topo = fabric::Topology::paper_testbed();
+  const fabric::NodeId node =
+      topo.nodes_with_role(fabric::NodeRole::kStorage)[0];
+  HealthMonitor monitor(eng, topo);
+  auto owned = std::make_unique<ProbeDevice>();
+  ProbeDevice& probe = *owned;
+  resilience::RetryDevice dev(eng, std::move(owned), monitor, node,
+                              RetryPolicy{}, /*jitter_seed=*/1);
+
+  probe.fail_next = 1;
+  Status w = eng.run_task(dev.write_tagged(8192, 64_KiB, /*seed=*/42, 8));
+  EXPECT_TRUE(w.ok()) << w.to_string();
+  probe.fail_next = 2;
+  auto tag = eng.run_task(dev.read_tagged(8192, 64_KiB, 8));
+  ASSERT_TRUE(tag.ok()) << tag.status().to_string();
+  EXPECT_EQ(*tag, ProbeDevice::kTag);
+  EXPECT_EQ(dev.retries(), 3u);
+  ASSERT_EQ(probe.cmds.size(), 5u);
+  for (size_t i = 0; i < probe.cmds.size(); ++i) {
+    SCOPED_TRACE(i);
+    const hw::IoCmd& c = probe.cmds[i];
+    const bool write = i < 2;
+    EXPECT_EQ(c.op, write ? hw::IoCmd::Op::kWrite : hw::IoCmd::Op::kRead);
+    EXPECT_EQ(c.offset, 8192u);
+    EXPECT_EQ(c.len, 64_KiB);
+    EXPECT_TRUE(c.tagged);
+    EXPECT_EQ(c.seed, write ? 42u : 0u);
+    EXPECT_EQ(c.subcmds, 8u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ sim::Task<void> scenario(sim::Engine& eng, hw::RamDevice& dev) {
   options.checkpoint_free_threshold = 0.5;
   options.coalesce_window = 0;  // every op takes a slot (visible mechanics)
 
+  uint32_t live_records = 0;
   {
     auto fs = (co_await microfs::MicroFs::format(eng, dev, options)).value();
     for (int step = 0; step < 3; ++step) {
@@ -42,16 +43,19 @@ sim::Task<void> scenario(sim::Engine& eng, hw::RamDevice& dev) {
                   static_cast<unsigned long long>(
                       fs->stats().state_checkpoints));
     }
+    live_records = fs->log_capacity() - fs->log_free_slots();
     std::printf("\n*** simulated crash: instance destroyed without "
                 "shutdown ***\n\n");
     // unique_ptr goes out of scope; nothing is flushed — by design
-    // everything already on the device is durable (§III-D).
+    // everything already on the device is durable (§III-D). The state
+    // checkpoint the last close queued dies with it, unstarted.
   }
 
   auto fs = (co_await microfs::MicroFs::recover(eng, dev, options)).value();
   std::printf("recovery: loaded state checkpoint + replayed %llu log "
               "records\n",
               static_cast<unsigned long long>(fs->stats().replayed_records));
+  NVMECR_CHECK(fs->stats().replayed_records == live_records);
 
   auto names = fs->readdir("/");
   std::printf("namespace after recovery:");

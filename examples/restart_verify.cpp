@@ -162,7 +162,7 @@ int run_scenario(const AppSpec& spec, KillPoint point, const Cli& cli,
     // exactly what survives when the whole fast tier is gone.
     plan.chain = [&driver](uint32_t rank) {
       return std::vector<nvmecr_rt::RestoreSource>{
-          {driver.pfs_session(rank), true, "pfs"}};
+          {driver.pfs_session(rank), true}};
     };
     plan.resume_checkpoints = false;
   }

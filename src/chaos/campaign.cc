@@ -1,7 +1,6 @@
 #include "chaos/campaign.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "nvmecr/runtime.h"
@@ -19,7 +18,6 @@ using workloads::AppRunParams;
 using workloads::AppRunResult;
 using workloads::AppSpec;
 using workloads::KillSpec;
-using workloads::RestorePlan;
 
 const char* verdict_name(Verdict v) {
   switch (v) {
@@ -286,20 +284,11 @@ RunOutcome CampaignRunner::run_schedule(const FailureSchedule& sched,
     return finish(v, ran.status());
   }
 
-  // Restart through the failover-aware chain and verify against golden —
-  // run() either completed or was killed by the schedule's job kill;
-  // both must restart digest-identical.
-  std::vector<std::unique_ptr<baselines::StorageClient>> views;
-  for (uint32_t r = 0; r < cfg_.ranks; ++r) {
-    views.push_back(stack.sys->failover_view(r));
-  }
-  RestorePlan plan;
-  plan.chain = [&views, &driver](uint32_t rank) {
-    return std::vector<nvmecr_rt::RestoreSource>{
-        {views[rank].get(), false, "failover"},
-        {driver.session(rank), false, "fast"}};
-  };
-  auto restored = driver.restart(plan);
+  // Restart through each rank's own session (its ResilientClient routes
+  // degraded files to the spare) and verify against golden — run()
+  // either completed or was killed by the schedule's job kill; both
+  // must restart digest-identical.
+  auto restored = driver.restart();
   if (!restored.ok()) {
     const Verdict v = classify(restored.status());
     if (v == Verdict::kHang) return finish(v, restored.status());

@@ -141,16 +141,6 @@ class Network {
     co_return OkStatus();
   }
 
-  /// Fallible request/response exchange (see rpc()).
-  sim::Task<Status> try_rpc(NodeId client, NodeId server,
-                            uint64_t request_bytes, uint64_t response_bytes) {
-    NVMECR_CO_RETURN_IF_ERROR(
-        co_await try_transfer(client, server, request_bytes));
-    NVMECR_CO_RETURN_IF_ERROR(
-        co_await try_transfer(server, client, response_bytes));
-    co_return OkStatus();
-  }
-
   /// Moves `bytes` from `src` to `dst`; completes when the last byte has
   /// arrived. Same-node transfers are free (shared memory).
   sim::Task<void> transfer(NodeId src, NodeId dst, uint64_t bytes) {

@@ -121,10 +121,6 @@ class NvmeSsd {
     }
     return f;
   }
-  /// Time a crashed device makes the initiator wait before the timeout
-  /// error is reported (models the host-side IO timeout).
-  SimDuration io_timeout() const { return io_timeout_; }
-  void set_io_timeout(SimDuration t) { io_timeout_ = t; }
   /// Corrupts `len` stored bytes at `nsid`-relative `offset` (silent
   /// media corruption; CRC-guarded structures must detect it on read).
   Status corrupt_media(uint32_t nsid, uint64_t offset, uint64_t len);
@@ -187,6 +183,8 @@ class NvmeSsd {
     SimTime until = 0;
   };
   std::vector<StragglerWindow> straggler_windows_;
+  /// Time a crashed device makes the initiator wait before the timeout
+  /// error is reported (models the host-side IO timeout).
   SimDuration io_timeout_ = 500'000;  // 500 us
 
   // Observability (all null/empty when detached; see obs/observer.h).

@@ -110,6 +110,10 @@ sim::Task<StatusOr<FsckReport>> MicroFs::fsck() {
     if (inode == nullptr || inode->type != InodeType::kDirectory) continue;
     auto stream = co_await read_dirfile(path);
     if (!stream.ok()) {
+      // An unreachable device cannot be scanned; that is not corruption.
+      if (is_retryable(stream.status().code())) {
+        co_return Result(stream.status());
+      }
       flag("dirfile '" + path + "': " + std::string(stream.status().message()));
       continue;
     }

@@ -989,13 +989,15 @@ void MicroFs::maybe_spawn_checkpoint() {
   if (free_frac >= options_.checkpoint_free_threshold) return;
   // Background thread semantics (§III-E): overlapped with application
   // compute; the engine runs it concurrently with subsequent user ops.
-  engine_.spawn([](MicroFs* fs) -> sim::Task<void> {
+  engine_.spawn([](MicroFs* fs,
+                   std::weak_ptr<bool> lifetime) -> sim::Task<void> {
+    if (lifetime.expired()) co_return;
     Status s = co_await fs->checkpoint_state();
     if (!s.ok()) {
       NVMECR_SLOG_WARN("microfs", "background state checkpoint failed: %s",
                        s.to_string().c_str());
     }
-  }(this));
+  }(this, lifetime_));
 }
 
 Status MicroFs::replay_record(const LogRecord& rec,

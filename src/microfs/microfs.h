@@ -211,7 +211,8 @@ class MicroFs {
   /// files but never mutates state. A clean report means the DRAM
   /// metadata, the device-resident directory streams, and the operation
   /// log agree; the crash-exploration harness runs it on every recovered
-  /// state.
+  /// state. A retryable device error (e.g. an unreachable target) fails
+  /// the scan with that status instead of being reported as an issue.
   sim::Task<StatusOr<FsckReport>> fsck();
 
   // --- observability ----------------------------------------------------
@@ -342,6 +343,11 @@ class MicroFs {
   std::map<int, OpenFile> open_files_;
   int next_fd_ = 3;
   bool checkpoint_in_flight_ = false;
+  /// Expires with the instance. A spawned background state checkpoint
+  /// holds a weak reference and does not start once it has expired: a
+  /// crash (the instance destroyed without shutdown) kills the
+  /// background thread along with the rest of DRAM.
+  std::shared_ptr<bool> lifetime_ = std::make_shared<bool>(true);
 
   MicroFsStats stats_;
 

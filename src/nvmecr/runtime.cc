@@ -53,8 +53,6 @@ class NvmecrClient final : public baselines::StorageClient {
     agg.ckpt_bytes_written += st.ckpt_bytes_written;
     agg.inode_writeback_bytes += st.inode_writeback_bytes;
     agg.state_checkpoints += st.state_checkpoints;
-    system_.agg_log_appended_ += fs_->log_counters().appended;
-    system_.agg_log_coalesced_ += fs_->log_counters().coalesced;
     system_.metadata_bytes_ += fs_->metadata_device_bytes();
     system_.peak_client_dram_ =
         std::max(system_.peak_client_dram_, fs_->dram_footprint());

@@ -92,8 +92,6 @@ class NvmecrSystem final : public baselines::StorageSystem {
   /// Aggregated microfs statistics across all clients that have closed
   /// (clients report their stats into the system on destruction).
   const microfs::MicroFsStats& aggregated_stats() const { return agg_stats_; }
-  uint64_t log_records_appended() const { return agg_log_appended_; }
-  uint64_t log_records_coalesced() const { return agg_log_coalesced_; }
   size_t peak_client_dram() const { return peak_client_dram_; }
 
   /// Runs the microfs fsck invariant checker over every live client's
@@ -124,8 +122,6 @@ class NvmecrSystem final : public baselines::StorageSystem {
 
   // Aggregation sinks (clients flush into these on destruction).
   microfs::MicroFsStats agg_stats_;
-  uint64_t agg_log_appended_ = 0;
-  uint64_t agg_log_coalesced_ = 0;
   uint64_t metadata_bytes_ = 0;
   SimDuration kernel_time_ = 0;
   size_t peak_client_dram_ = 0;

@@ -13,7 +13,7 @@
 //      then check them against the manifest's CRC64 digest;
 //
 // and fails otherwise, at which point the restart path walks on to the
-// PFS tier via MultiLevelRouter::recovery_chain(). Materialization
+// PFS tier (workloads::RestorePlan's chain). Materialization
 // charges the real device reads (survivor files + parity segments) and
 // decode CPU; subsequent read()s stream the DRAM-resident image at
 // RedundancyOptions::dram_bw.
@@ -35,18 +35,6 @@ namespace nvmecr::redundancy {
 
 enum class RecoverySource : uint8_t { kFastTier, kPartner, kXor };
 
-inline const char* recovery_source_name(RecoverySource s) {
-  switch (s) {
-    case RecoverySource::kFastTier:
-      return "fast-tier";
-    case RecoverySource::kPartner:
-      return "partner-replica";
-    case RecoverySource::kXor:
-      return "xor-decode";
-  }
-  return "?";
-}
-
 struct RecoveryReport {
   uint32_t rank = 0;
   std::string path;
@@ -61,8 +49,8 @@ class Reconstructor {
  public:
   explicit Reconstructor(RedundantSystem& system);
 
-  /// Read-only client for `rank`; plug it into
-  /// MultiLevelRouter::set_reconstructed() for the fallback chain.
+  /// Read-only client for `rank`; put it in a workloads::RestorePlan
+  /// chain as a fast-tier source.
   std::unique_ptr<baselines::StorageClient> client(uint32_t rank);
 
   /// Every successful materialization, in completion order.

@@ -84,11 +84,6 @@ ResilientSystem::connect(int rank) {
   co_return client;
 }
 
-ResilientClient* ResilientSystem::client_of(uint32_t rank) {
-  auto it = ranks_.find(rank);
-  return it == ranks_.end() ? nullptr : it->second->client;
-}
-
 const DegradedEntry* ResilientSystem::degraded_entry(
     uint32_t rank, const std::string& path) const {
   auto it = ranks_.find(rank);
@@ -121,8 +116,7 @@ sim::Task<Status> ResilientSystem::ensure_spare(uint32_t rank) {
   req.num_ssds = 1;
   req.min_procs_per_ssd = 1;
   req.exclude_domains = monitor_.dead_domains();
-  auto assign = nvmecr_rt::StorageBalancer::assign(
-      cluster_.topology(), req, options_.allow_same_domain_spare);
+  auto assign = nvmecr_rt::StorageBalancer::assign(cluster_.topology(), req);
   // Typed exhaustion (kUnavailable) when every partner domain is dead:
   // the caller surfaces it; no retry loop can help here.
   if (!assign.ok()) co_return assign.status();
@@ -507,93 +501,6 @@ sim::Task<Status> ResilientClient::unlink(const std::string& path) {
   }
   rs.io_mutex.unlock();
   co_return result;
-}
-
-// ---------------------------------------------------------------------
-// FailoverView
-// ---------------------------------------------------------------------
-
-namespace {
-
-/// Read-only client over one rank's degraded/healed checkpoints, for the
-/// MultiLevelRouter restart chain. Routes exactly like the rank's
-/// ResilientClient reads: degraded -> spare session, healed -> inner.
-class FailoverViewClient final : public baselines::StorageClient {
- public:
-  FailoverViewClient(ResilientSystem& sys, uint32_t rank)
-      : sys_(sys), rank_(rank) {}
-
-  sim::Task<StatusOr<int>> create(const std::string& path) override {
-    (void)path;
-    co_return StatusOr<int>(
-        PermissionError("failover view is read-only"));
-  }
-  sim::Task<Status> write(int fd, uint64_t len) override {
-    (void)fd;
-    (void)len;
-    co_return PermissionError("failover view is read-only");
-  }
-  sim::Task<Status> fsync(int fd) override {
-    (void)fd;
-    co_return PermissionError("failover view is read-only");
-  }
-  sim::Task<Status> unlink(const std::string& path) override {
-    (void)path;
-    co_return PermissionError("failover view is read-only");
-  }
-
-  sim::Task<StatusOr<int>> open_read(const std::string& path) override {
-    const DegradedEntry* e = sys_.degraded_entry(rank_, path);
-    if (e == nullptr || !e->complete) {
-      co_return StatusOr<int>(
-          NotFoundError("no degraded/healed copy of " + path));
-    }
-    ResilientClient* client = sys_.client_of(rank_);
-    if (client == nullptr) {
-      co_return StatusOr<int>(
-          UnavailableError("rank session is gone"));
-    }
-    auto fd = co_await client->open_read(path);
-    if (!fd.ok()) co_return fd;
-    const int vfd = next_fd_++;
-    routed_[vfd] = *fd;
-    co_return vfd;
-  }
-
-  sim::Task<Status> read(int fd, uint64_t len) override {
-    auto it = routed_.find(fd);
-    if (it == routed_.end()) co_return InvalidArgumentError("bad fd");
-    ResilientClient* client = sys_.client_of(rank_);
-    if (client == nullptr) {
-      co_return UnavailableError("rank session is gone");
-    }
-    co_return co_await client->read(it->second, len);
-  }
-
-  sim::Task<Status> close(int fd) override {
-    auto it = routed_.find(fd);
-    if (it == routed_.end()) co_return InvalidArgumentError("bad fd");
-    const int real = it->second;
-    routed_.erase(it);
-    ResilientClient* client = sys_.client_of(rank_);
-    if (client == nullptr) {
-      co_return UnavailableError("rank session is gone");
-    }
-    co_return co_await client->close(real);
-  }
-
- private:
-  ResilientSystem& sys_;
-  uint32_t rank_;
-  std::map<int, int> routed_;  // view fd -> ResilientClient fd
-  int next_fd_ = 5000;
-};
-
-}  // namespace
-
-std::unique_ptr<baselines::StorageClient> ResilientSystem::failover_view(
-    uint32_t rank) {
-  return std::make_unique<FailoverViewClient>(*this, rank);
 }
 
 }  // namespace nvmecr::resilience

@@ -34,9 +34,7 @@
 //
 // Restart: ResilientClient::open_read serves degraded files from the
 // spare and everything else from the inner chain, so the driver's
-// restart read works unchanged. failover_view(rank) exposes the same
-// routing as a read-only client for MultiLevelRouter::set_failover
-// (restart chain: fast > failover > reconstructed > PFS).
+// restart read through the rank's own session works unchanged.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +59,6 @@ struct ResilienceOptions {
   HealthParams health;
   /// Seed for the per-device jitter streams (see make_retry_wrapper).
   uint64_t seed = 42;
-  /// Allow the spare in the rank's own failure domain when every partner
-  /// domain is dead (off: typed kUnavailable exhaustion instead).
-  bool allow_same_domain_spare = false;
 };
 
 enum class DegradedState {
@@ -127,14 +122,6 @@ class ResilientSystem final : public baselines::StorageSystem {
   /// Ranks with at least one degraded (not yet healed) file.
   std::vector<uint32_t> degraded_ranks() const;
 
-  /// Read-only client serving rank's degraded/healed checkpoints, for
-  /// MultiLevelRouter::set_failover. Valid while the rank's
-  /// ResilientClient is alive; writes are rejected.
-  std::unique_ptr<baselines::StorageClient> failover_view(uint32_t rank);
-
-  /// Rank's live session, nullptr after the client is torn down.
-  ResilientClient* client_of(uint32_t rank);
-
   /// Bounded healer daemon: every `period` until sim-time `until`, scans
   /// for kHealing targets and rewrites their ranks' degraded files
   /// through the inner chain (restoring full redundancy), then reports
@@ -150,7 +137,6 @@ class ResilientSystem final : public baselines::StorageSystem {
 
  private:
   friend class ResilientClient;
-  friend class FailoverView;
 
   struct RankState {
     explicit RankState(sim::Engine& e) : io_mutex(e) {}
@@ -222,7 +208,6 @@ class ResilientClient final : public baselines::StorageClient {
 
  private:
   friend class ResilientSystem;
-  friend class FailoverView;
 
   struct OpenFile {
     std::string path;

@@ -125,9 +125,9 @@ sim::Task<void> AppDriver::connect_task(Status& out) {
 
 std::vector<nvmecr_rt::RestoreSource> AppDriver::default_chain(uint32_t rank) {
   std::vector<nvmecr_rt::RestoreSource> chain;
-  chain.push_back({sessions_[rank].get(), false, "fast"});
+  chain.push_back({sessions_[rank].get(), false});
   if (rank < pfs_sessions_.size()) {
-    chain.push_back({pfs_sessions_[rank].get(), true, "pfs"});
+    chain.push_back({pfs_sessions_[rank].get(), true});
   }
   return chain;
 }

@@ -23,10 +23,10 @@
 //     connect, so a reconnect would wipe the fast tier; see runtime.h
 //     and the Reconstructor's online-rebuild contract.) restart() then
 //     probes the newest epoch committed by *every* rank against a
-//     tier-tagged restore chain (fast session / failover view /
-//     XOR-reconstruction / PFS — nvmecr_rt::RestoreSource), replays the
-//     checkpoint read, rebuilds the solver state from the ledger
-//     snapshot, verifies its digest, and resumes compute to the end.
+//     tier-tagged restore chain (fast session / XOR-reconstruction /
+//     PFS — nvmecr_rt::RestoreSource), replays the checkpoint read,
+//     rebuilds the solver state from the ledger snapshot, verifies its
+//     digest, and resumes compute to the end.
 //
 // Verification contract (verify_restart): a restored run must finish
 // with every rank's state digest and every post-restore residual
@@ -145,8 +145,9 @@ struct AppRunResult {
 };
 
 /// How restart() finds checkpoint data. Default (`chain` unset): the
-/// rank's live fast-tier session, then its PFS session. Tests inject
-/// failover views and reconstruction clients here. `pfs_tier` of each
+/// rank's live fast-tier session (which also serves checkpoints that
+/// failed over to a spare), then its PFS session. Tests inject
+/// reconstruction clients and single-tier chains here. `pfs_tier` of each
 /// source must match the ledger entry's placement (see
 /// nvmecr_rt::RestoreSource for why probing cannot span tiers).
 struct RestorePlan {

@@ -258,7 +258,7 @@ TEST_P(RestorePathMatrixTest, KilledRunRestoresFromFastAndPfs) {
   // fast-routed epochs, so it restores epoch 1 and resumes 2..5.
   RestorePlan fast_plan;
   fast_plan.chain = [&driver](uint32_t rank) {
-    return std::vector<RestoreSource>{{driver.session(rank), false, "fast"}};
+    return std::vector<RestoreSource>{{driver.session(rank), false}};
   };
   fast_plan.resume_checkpoints = false;
   auto via_fast = driver.restart(fast_plan);
@@ -271,8 +271,7 @@ TEST_P(RestorePathMatrixTest, KilledRunRestoresFromFastAndPfs) {
   // touched by path 1) — restores epoch 2, resumes 3..5.
   RestorePlan pfs_plan;
   pfs_plan.chain = [&driver](uint32_t rank) {
-    return std::vector<RestoreSource>{
-        {driver.pfs_session(rank), true, "pfs"}};
+    return std::vector<RestoreSource>{{driver.pfs_session(rank), true}};
   };
   pfs_plan.resume_checkpoints = false;
   auto via_pfs = driver.restart(pfs_plan);
@@ -339,7 +338,7 @@ TEST(FourPathRestoreTest, FastThenXorThenPfsRestoreIdentically) {
   // Path 1: live fast-tier sessions, newest fast epoch (3).
   RestorePlan fast_plan;
   fast_plan.chain = [&driver](uint32_t rank) {
-    return std::vector<RestoreSource>{{driver.session(rank), false, "fast"}};
+    return std::vector<RestoreSource>{{driver.session(rank), false}};
   };
   fast_plan.resume_checkpoints = false;
   auto via_fast = driver.restart(fast_plan);
@@ -366,8 +365,7 @@ TEST(FourPathRestoreTest, FastThenXorThenPfsRestoreIdentically) {
   }
   RestorePlan xor_plan;
   xor_plan.chain = [&recon_clients](uint32_t rank) {
-    return std::vector<RestoreSource>{
-        {recon_clients[rank].get(), false, "reconstructed"}};
+    return std::vector<RestoreSource>{{recon_clients[rank].get(), false}};
   };
   xor_plan.resume_checkpoints = false;
   auto via_xor = driver.restart(xor_plan);
@@ -383,8 +381,7 @@ TEST(FourPathRestoreTest, FastThenXorThenPfsRestoreIdentically) {
   // Path 3: the PFS copies (newest PFS epoch is 2).
   RestorePlan pfs_plan;
   pfs_plan.chain = [&driver](uint32_t rank) {
-    return std::vector<RestoreSource>{
-        {driver.pfs_session(rank), true, "pfs"}};
+    return std::vector<RestoreSource>{{driver.pfs_session(rank), true}};
   };
   pfs_plan.resume_checkpoints = false;
   auto via_pfs = driver.restart(pfs_plan);
@@ -430,23 +427,13 @@ TEST(FourPathRestoreTest, FailoverSpareRestoresIdentically) {
   EXPECT_GE(sys.failovers(), 1u);
   EXPECT_FALSE(sys.degraded_ranks().empty());
 
-  // Restore with the failover view first in the chain: it serves
-  // exactly the degraded/healed files (rank 0's post-crash checkpoints,
-  // living on the spare) and reports NotFound for everything else, so
-  // the never-degraded ranks fall through to their live sessions.
+  // Restore through the default plan: each rank's own session serves
+  // its degraded files (rank 0's post-crash checkpoints, living on the
+  // spare) from the spare and everything else from the inner chain.
   const std::string degraded_path =
       workloads::app_checkpoint_path(spec, /*epoch=*/4, /*rank=*/0);
   ASSERT_NE(sys.degraded_entry(0, degraded_path), nullptr);
-  std::vector<std::unique_ptr<baselines::StorageClient>> views;
-  for (uint32_t r = 0; r < ranks; ++r) {
-    views.push_back(sys.failover_view(r));
-  }
   RestorePlan plan;
-  plan.chain = [&views, &driver](uint32_t rank) {
-    return std::vector<RestoreSource>{
-        {views[rank].get(), false, "failover"},
-        {driver.session(rank), false, "fast"}};
-  };
   plan.resume_checkpoints = false;
   auto restored = driver.restart(plan);
   ASSERT_TRUE(restored.ok()) << restored.status().to_string();

@@ -316,6 +316,19 @@ TEST(CampaignTest, OverwhelmingScheduleYieldsTypedFailureNotViolation) {
   EXPECT_EQ(chaos::verdict_exit_code(out.verdict), chaos::kExitTypedFailure);
 }
 
+// Schedule 0x186 leaves rank 0's spare target dead at the fsck gate.
+// fsck cannot scan it and says so with a retryable status; the gate
+// must not read that as corruption, so the run's typed failure stands.
+TEST(CampaignTest, UnreachableSpareIsTypedFailureNotCorruption) {
+  CampaignRunner runner{CampaignConfig{}};
+  ScheduleParams p = runner.schedule_params(0);
+  p.seed = 0x186;
+  const chaos::RunOutcome out =
+      runner.run_schedule(chaos::generate_schedule(p));
+  EXPECT_EQ(out.verdict, Verdict::kTypedFailure) << out.status.to_string();
+  EXPECT_FALSE(out.violation());
+}
+
 TEST(CampaignTest, SubsetRestrictsInjection) {
   CampaignRunner runner(quick_config());
   const FailureSchedule sched =

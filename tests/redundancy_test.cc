@@ -361,34 +361,27 @@ TEST(RedundancyRecoveryTest, NoneFallsBackToOlderPfsCheckpoint) {
 
   redundancy::Reconstructor recon(sys);
   auto reconstructed = recon.client(0);
-  nvmecr_rt::MultiLevelRouter router(*fast, *slow,
-                                     nvmecr_rt::MultiLevelPolicy(2));
-  router.set_reconstructed(reconstructed.get());
-
-  f.cluster.engine().run_task([](nvmecr_rt::MultiLevelRouter& rt,
-                                 baselines::StorageClient* pfs_client)
-                                  -> sim::Task<void> {
-    // The newest checkpoint (/step1, fast tier only) is unrecoverable
-    // under kNone: both pre-PFS sources in the chain fail — the fast
-    // tier lost its device and the reconstruction view has no
-    // redundancy stream to rebuild from. (The PFS model is
-    // bandwidth-only and does not track namespaces, so "what the PFS
-    // holds" is what was written to it: only /step0.)
-    const auto chain = rt.recovery_chain();
-    NVMECR_CHECK(chain.size() == 3u);
-    for (size_t i = 0; i + 1 < chain.size(); ++i) {
-      EXPECT_FALSE((co_await read_file(*chain[i], "/step1", 8_MiB)).ok())
-          << "source " << i;
-    }
-    // Restart therefore falls back to the last tier — the older PFS
-    // checkpoint /step0 — and that read succeeds.
-    EXPECT_EQ(chain.back(), pfs_client);
-    EXPECT_TRUE((co_await read_file(*chain.back(), "/step0", 8_MiB)).ok());
-  }(router, slow.get()));
+  f.cluster.engine().run_task(
+      [](baselines::StorageClient& fast_client,
+         baselines::StorageClient& recon_client,
+         baselines::StorageClient& pfs_client) -> sim::Task<void> {
+        // The newest checkpoint (/step1, fast tier only) is unrecoverable
+        // under kNone: both fast-tier sources fail — the fast tier lost
+        // its device and the reconstruction view has no redundancy
+        // stream to rebuild from. (The PFS model is bandwidth-only and
+        // does not track namespaces, so "what the PFS holds" is what was
+        // written to it: only /step0.)
+        EXPECT_FALSE((co_await read_file(fast_client, "/step1", 8_MiB)).ok());
+        EXPECT_FALSE(
+            (co_await read_file(recon_client, "/step1", 8_MiB)).ok());
+        // Restart therefore falls back to the older PFS checkpoint
+        // /step0, and that read succeeds.
+        EXPECT_TRUE((co_await read_file(pfs_client, "/step0", 8_MiB)).ok());
+      }(*fast, *reconstructed, *slow));
 }
 
 // ---------------------------------------------------------------------------
-// Multi-level policy/router edges (satellite)
+// Multi-level policy edges (satellite)
 
 TEST(MultiLevelEdgeTest, IntervalZeroNeverRoutesToPfs) {
   nvmecr_rt::MultiLevelPolicy policy(0);
@@ -424,30 +417,14 @@ TEST(MultiLevelEdgeTest, RecoveryLevelRestoresFromPfsWhenFastTierLost) {
         EXPECT_TRUE((co_await write_file(*sc, "/a", 4_MiB)).ok());
       }(fast_sys, pfs, fast, slow));
 
-  nvmecr_rt::MultiLevelRouter router(*fast, *slow,
-                                     nvmecr_rt::MultiLevelPolicy(10));
-  // Healthy: recovery prefers the fast tier; chain is fast -> pfs.
-  EXPECT_EQ(&router.recovery_level(false), fast.get());
-  EXPECT_FALSE(router.has_reconstructed());
-  EXPECT_EQ(router.recovery_chain().size(), 2u);
-  // With a reconstruction view installed it slots in before the PFS.
-  baselines::StorageClient* marker = slow.get();
-  router.set_reconstructed(marker);
-  EXPECT_TRUE(router.has_reconstructed());
-  EXPECT_EQ(router.recovery_chain().size(), 3u);
-  EXPECT_EQ(&router.recovery_level(true), marker);
-  router.set_reconstructed(nullptr);
-
-  // Fast tier dies: recovery_level(true) must serve from the PFS copy.
+  // Fast tier dies: the PFS copy still serves the checkpoint.
   f.fail_domain(f.primary_domain(job, 0));
-  EXPECT_EQ(&router.recovery_level(true), slow.get());
-  f.cluster.engine().run_task([](nvmecr_rt::MultiLevelRouter& rt)
-                                  -> sim::Task<void> {
-    EXPECT_FALSE(
-        (co_await read_file(rt.recovery_level(false), "/a", 4_MiB)).ok());
-    EXPECT_TRUE(
-        (co_await read_file(rt.recovery_level(true), "/a", 4_MiB)).ok());
-  }(router));
+  f.cluster.engine().run_task(
+      [](baselines::StorageClient& fast_client,
+         baselines::StorageClient& pfs_client) -> sim::Task<void> {
+        EXPECT_FALSE((co_await read_file(fast_client, "/a", 4_MiB)).ok());
+        EXPECT_TRUE((co_await read_file(pfs_client, "/a", 4_MiB)).ok());
+      }(*fast, *slow));
 }
 
 // ---------------------------------------------------------------------------

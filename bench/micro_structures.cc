@@ -68,13 +68,20 @@ void BM_BpTreePathLookup(benchmark::State& state) {
 BENCHMARK(BM_BpTreePathLookup);
 
 void BM_BlockPoolAllocFree(benchmark::State& state) {
+  // One run of 128 hugeblocks (a 4 MiB append of 32 KiB hugeblocks)
+  // taken from the ring head and returned to its tail; items are
+  // hugeblocks.
+  constexpr uint64_t kRun = 128;
   BlockPool pool(1u << 20);
+  std::vector<BlockRun> runs;
   for (auto _ : state) {
-    const uint64_t b = pool.alloc().value();
-    benchmark::DoNotOptimize(b);
-    NVMECR_CHECK(pool.free(b).ok());
+    runs.clear();
+    NVMECR_CHECK(pool.alloc(kRun, runs).ok());
+    benchmark::DoNotOptimize(runs.data());
+    NVMECR_CHECK(pool.free(runs).ok());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRun));
 }
 BENCHMARK(BM_BlockPoolAllocFree);
 
@@ -82,7 +89,7 @@ void BM_MicroFsTaggedAppend(benchmark::State& state) {
   // One file grown in 4 MiB tagged appends to range(0) MiB, then
   // truncated (untimed) and grown again: time per iteration is time per
   // append. It stays flat across file sizes because growing the block
-  // map costs O(new blocks), not a rescan of the whole map.
+  // map costs O(new runs), not a rescan of the whole map.
   constexpr uint64_t kAppend = 4_MiB;
   const uint64_t file_bytes = static_cast<uint64_t>(state.range(0)) * 1_MiB;
   const std::string path = "/rank0.ckpt";

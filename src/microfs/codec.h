@@ -24,9 +24,21 @@ class Encoder {
     u32(static_cast<uint32_t>(s.size()));
     raw(s.data(), s.size());
   }
-  void bytes(std::span<const std::byte> b) {
-    u64(b.size());
-    out_.insert(out_.end(), b.begin(), b.end());
+  void u64s(std::span<const uint64_t> v) { raw(v.data(), v.size() * 8); }
+  /// Appends the `count` values start, start+1, ... (an expanded run of
+  /// hugeblocks) in one bulk append.
+  void u64_run(uint64_t start, uint64_t count) {
+    const size_t at = out_.size();
+    out_.resize(at + count * 8);
+    std::byte* p = out_.data() + at;
+    for (uint64_t i = 0; i < count; ++i, p += 8) {
+      const uint64_t v = start + i;
+      std::memcpy(p, &v, 8);
+    }
+  }
+  /// Overwrites the u64 at byte `at`, a slot reserved by an earlier u64().
+  void patch_u64(size_t at, uint64_t v) {
+    std::memcpy(out_.data() + at, &v, 8);
   }
   size_t size() const { return out_.size(); }
 

@@ -8,10 +8,6 @@
 
 namespace nvmecr::microfs {
 
-namespace {
-constexpr uint64_t kInvalidBlock = UINT64_MAX;
-}  // namespace
-
 sim::Task<StatusOr<FsckReport>> MicroFs::fsck() {
   using Result = StatusOr<FsckReport>;
   FsckReport report;
@@ -78,22 +74,21 @@ sim::Task<StatusOr<FsckReport>> MicroFs::fsck() {
            std::to_string(inode.blocks.size()) + " blocks cover size " +
            std::to_string(inode.size));
     }
-    for (uint64_t b : inode.blocks) {
-      if (b == kInvalidBlock) {
-        flag("inode " + std::to_string(inode.ino) + ": unmapped extent");
-        continue;
-      }
-      if (b >= pool_.total()) {
-        flag("inode " + std::to_string(inode.ino) + ": block " +
-             std::to_string(b) + " out of range");
-        continue;
-      }
-      if (!pool_.is_allocated(b)) {
-        flag("inode " + std::to_string(inode.ino) + ": block " +
-             std::to_string(b) + " referenced but free in the pool");
-      }
-      if (!referenced.insert(b).second) {
-        flag("block " + std::to_string(b) + " referenced by two extents");
+    for (const BlockRun& run : inode.blocks.runs()) {
+      for (uint64_t i = 0; i < run.count; ++i) {
+        const uint64_t b = run.start + i;
+        if (b >= pool_.total()) {
+          flag("inode " + std::to_string(inode.ino) + ": block " +
+               std::to_string(b) + " out of range");
+          continue;
+        }
+        if (!pool_.is_allocated(b)) {
+          flag("inode " + std::to_string(inode.ino) + ": block " +
+               std::to_string(b) + " referenced but free in the pool");
+        }
+        if (!referenced.insert(b).second) {
+          flag("block " + std::to_string(b) + " referenced by two extents");
+        }
       }
     }
   });

@@ -18,7 +18,8 @@ namespace {
 constexpr uint32_t kSuperblockMagic = 0x7546534d;  // "MSFu"
 constexpr uint32_t kCkptMagic = 0x74704b43;        // "CKpt"
 constexpr uint64_t kSuperblockBytes = 4096;
-constexpr uint64_t kInvalidBlock = UINT64_MAX;
+// State checkpoint header: magic, epoch, payload length, payload CRC64.
+constexpr uint64_t kCkptHeaderBytes = 24;
 
 }  // namespace
 
@@ -210,13 +211,7 @@ Status MicroFs::ensure_blocks(Inode& inode, uint64_t end) {
   // it fails, so a partial grab would leave blocks that log replay hands
   // to a later file instead.
   const uint64_t new_blocks = needed - have;
-  if (pool_.free_count() < new_blocks) {
-    return NoSpaceError("hugeblock pool exhausted");
-  }
-  // resize (not push_back) keeps the vector's capacity growth, which
-  // Table I reports through InodeTable::memory_footprint().
-  inode.blocks.resize(needed);
-  for (uint64_t i = have; i < needed; ++i) inode.blocks[i] = *pool_.alloc();
+  NVMECR_RETURN_IF_ERROR(inode.blocks.grow(pool_, new_blocks));
   pool_version_ += new_blocks;
   if (m_pool_allocs_ != nullptr) {
     m_pool_allocs_->add(new_blocks);
@@ -227,9 +222,8 @@ Status MicroFs::ensure_blocks(Inode& inode, uint64_t end) {
 }
 
 Status MicroFs::release_blocks(Inode& inode) {
-  for (uint64_t b : inode.blocks) NVMECR_RETURN_IF_ERROR(pool_.free(b));
   const uint64_t freed = inode.blocks.size();
-  inode.blocks.clear();
+  NVMECR_RETURN_IF_ERROR(inode.blocks.release(pool_));
   pool_version_ += freed;
   if (freed > 0 && m_pool_frees_ != nullptr) {
     m_pool_frees_->add(freed);
@@ -242,9 +236,8 @@ Status MicroFs::release_blocks(Inode& inode) {
 uint64_t MicroFs::device_offset(const Inode& inode, uint64_t file_off) const {
   const uint64_t B = options_.hugeblock_size;
   const uint64_t hb = file_off / B;
-  NVMECR_CHECK(hb < inode.blocks.size() &&
-               inode.blocks[hb] != kInvalidBlock);
-  return geo_.data_base + inode.blocks[hb] * B + file_off % B;
+  NVMECR_CHECK(hb < inode.blocks.size());
+  return geo_.data_base + inode.blocks.at(hb) * B + file_off % B;
 }
 
 sim::Task<Status> MicroFs::hugeblock_io(Inode& inode, uint64_t off,
@@ -257,22 +250,22 @@ sim::Task<Status> MicroFs::hugeblock_io(Inode& inode, uint64_t off,
   const uint64_t B = options_.hugeblock_size;
   const uint64_t first_hb = off / B;
   const uint64_t last_hb = (off + len - 1) / B;
+  NVMECR_CHECK(last_hb < inode.blocks.size());
 
-  // Walk contiguous device-block runs and issue batched commands: one
-  // host command per hugeblock, up to io_batch_hugeblocks per event.
-  uint64_t run_start_hb = first_hb;
-  while (run_start_hb <= last_hb) {
-    uint64_t run_len_hb = 1;
-    while (run_start_hb + run_len_hb <= last_hb &&
-           run_len_hb < options_.io_batch_hugeblocks &&
-           inode.blocks[run_start_hb + run_len_hb] ==
-               inode.blocks[run_start_hb + run_len_hb - 1] + 1) {
-      ++run_len_hb;
-    }
-    const uint64_t dev_off =
-        geo_.data_base + inode.blocks[run_start_hb] * B;
-    const uint64_t bytes = run_len_hb * B;
-    const auto subcmds = static_cast<uint32_t>(run_len_hb);
+  // Issue batched commands: one host command per hugeblock, up to
+  // io_batch_hugeblocks per event, never across a run of the block map
+  // (a maximal run ends exactly where device contiguity does).
+  const uint64_t batch = std::max<uint64_t>(options_.io_batch_hugeblocks, 1);
+  uint64_t hb = first_hb;
+  while (hb <= last_hb) {
+    const size_t r = inode.blocks.run_of(hb);
+    const uint64_t n =
+        std::min({batch, inode.blocks.run_end(r) - hb, last_hb + 1 - hb});
+    const uint64_t block =
+        inode.blocks.runs()[r].start + (hb - inode.blocks.run_begin(r));
+    const uint64_t dev_off = geo_.data_base + block * B;
+    const uint64_t bytes = n * B;
+    const auto subcmds = static_cast<uint32_t>(n);
     if (is_write) {
       Status s =
           co_await dev_.write_tagged(dev_off, bytes, inode.seed, subcmds);
@@ -288,7 +281,7 @@ sim::Task<Status> MicroFs::hugeblock_io(Inode& inode, uint64_t off,
                                   std::to_string(inode.ino));
       }
     }
-    run_start_hb += run_len_hb;
+    hb += n;
   }
   if (obs_.trace != nullptr) {
     obs_.trace->add_span(trace_track_,
@@ -929,32 +922,31 @@ sim::Task<Status> MicroFs::checkpoint_state() {
 
   // Serialize synchronously (consistent snapshot under cooperative
   // scheduling), then write asynchronously overlapping the application.
-  std::vector<std::byte> payload;
+  // One pass into `buf`: the header's length and CRC and the tables'
+  // length are filled in once the bytes they cover exist.
+  std::vector<std::byte> buf;
   {
-    Encoder enc(payload);
+    Encoder enc(buf);
+    enc.u32(kCkptMagic);
+    enc.u32(epoch);
+    enc.u64(0);  // payload length
+    enc.u64(0);  // payload CRC64
     enc.u32(epoch);
     enc.u64(log_->next_lsn());
-    std::vector<std::byte> tables;
-    inodes_.serialize(tables);
-    pool_.serialize(tables);
-    enc.bytes(tables);
+    const size_t tables_at = enc.size();
+    enc.u64(0);  // tables length
+    inodes_.serialize(buf);
+    pool_.serialize(buf);
+    enc.patch_u64(tables_at, enc.size() - tables_at - 8);
     enc.u64(paths_.size());
-  }
-  {
-    Encoder enc(payload);
     paths_.for_each([&](const std::string& path, const Ino& ino) {
       enc.str(path);
       enc.u64(ino);
     });
+    const uint64_t payload = buf.size() - kCkptHeaderBytes;
+    enc.patch_u64(8, payload);
+    enc.patch_u64(16, crc64(buf.data() + kCkptHeaderBytes, payload));
   }
-
-  std::vector<std::byte> buf;
-  Encoder header(buf);
-  header.u32(kCkptMagic);
-  header.u32(epoch);
-  header.u64(payload.size());
-  header.u64(crc64(payload.data(), payload.size()));
-  buf.insert(buf.end(), payload.begin(), payload.end());
 
   if (buf.size() > geo_.ckpt_bytes) {
     checkpoint_in_flight_ = false;
@@ -1145,7 +1137,7 @@ sim::Task<StatusOr<std::unique_ptr<MicroFs>>> MicroFs::recover(
   uint32_t best_epoch = 0;
   std::vector<std::byte> best_payload;
   for (const uint64_t base : {geo.ckpt_base_a, geo.ckpt_base_b}) {
-    std::vector<std::byte> header(24);
+    std::vector<std::byte> header(kCkptHeaderBytes);
     if (!(co_await dev.read(base, header)).ok()) continue;
     Decoder dec(header);
     uint32_t magic = 0, epoch = 0;
@@ -1154,9 +1146,11 @@ sim::Task<StatusOr<std::unique_ptr<MicroFs>>> MicroFs::recover(
     (void)dec.u32(epoch);
     (void)dec.u64(length);
     (void)dec.u64(crc);
-    if (length == 0 || length > geo.ckpt_bytes - 24) continue;
+    if (length == 0 || length > geo.ckpt_bytes - kCkptHeaderBytes) continue;
     std::vector<std::byte> payload(length);
-    if (!(co_await dev.read(base + 24, payload)).ok()) continue;
+    if (!(co_await dev.read(base + kCkptHeaderBytes, payload)).ok()) {
+      continue;
+    }
     if (crc64(payload.data(), payload.size()) != crc) continue;
     if (epoch > best_epoch) {
       best_epoch = epoch;

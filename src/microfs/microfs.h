@@ -284,12 +284,12 @@ class MicroFs {
   static std::string basename_of(const std::string& path);
 
   /// Ensures hugeblocks cover file bytes [0, end); allocates the missing
-  /// tail from the circular pool in hugeblock-index order
-  /// (replay-deterministic). All or nothing: on kNoSpace neither the pool
-  /// nor the inode has changed.
+  /// tail from the circular pool in ring order (replay-deterministic), in
+  /// O(runs). All or nothing: on kNoSpace neither the pool nor the inode
+  /// has changed.
   Status ensure_blocks(Inode& inode, uint64_t end);
   /// Frees every hugeblock of `inode` back to the pool in block-map order
-  /// (replay-deterministic) and empties its block map.
+  /// (replay-deterministic) and empties its block map; all or nothing.
   Status release_blocks(Inode& inode);
   uint64_t device_offset(const Inode& inode, uint64_t file_off) const;
 

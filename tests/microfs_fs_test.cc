@@ -3,9 +3,11 @@
 // recovery-equivalence property tests.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -486,6 +488,143 @@ TEST(MicroFsTest, NoSpaceWriteKeepsNoBlocks) {
     Status s = co_await m.verify_tagged("/c");
     EXPECT_TRUE(s.ok()) << s.to_string();
   }(*fs));
+}
+
+/// A tagged device command: offset, length, subcmds.
+using TaggedCmd = std::tuple<uint64_t, uint64_t, uint32_t>;
+
+/// Forwards to `inner` and records every command submitted through it.
+class CommandLog final : public hw::BlockDevice {
+ public:
+  explicit CommandLog(hw::BlockDevice& inner) : inner_(inner) {}
+  uint64_t capacity() const override { return inner_.capacity(); }
+  uint32_t hw_block_size() const override { return inner_.hw_block_size(); }
+  uint64_t tag_origin() const override { return inner_.tag_origin(); }
+  sim::Task<Status> submit(hw::IoCmd cmd, uint64_t* tag = nullptr) override {
+    cmds.push_back(cmd);
+    return inner_.submit(cmd, tag);
+  }
+
+  /// The tagged commands recorded since command `from`.
+  std::vector<TaggedCmd> tagged_since(size_t from) const {
+    std::vector<TaggedCmd> out;
+    for (size_t i = from; i < cmds.size(); ++i) {
+      if (cmds[i].tagged) {
+        out.emplace_back(cmds[i].offset, cmds[i].len, cmds[i].subcmds);
+      }
+    }
+    return out;
+  }
+
+  std::vector<hw::IoCmd> cmds;
+
+ private:
+  hw::BlockDevice& inner_;
+};
+
+/// Tagged IO over file hugeblocks [first, last] as a walk over the
+/// per-hugeblock map issues it: from `first`, one command per stretch of
+/// device-contiguous hugeblocks, at most `batch` each.
+std::vector<TaggedCmd> per_block_walk(const std::vector<uint64_t>& blocks,
+                                      uint64_t first, uint64_t last,
+                                      uint64_t batch, uint64_t data_base,
+                                      uint64_t B) {
+  std::vector<TaggedCmd> out;
+  for (uint64_t hb = first; hb <= last;) {
+    uint64_t n = 1;
+    while (hb + n <= last && n < batch &&
+           blocks[hb + n] == blocks[hb + n - 1] + 1) {
+      ++n;
+    }
+    out.emplace_back(data_base + blocks[hb] * B, n * B,
+                     static_cast<uint32_t>(n));
+    hb += n;
+  }
+  return out;
+}
+
+// Two files appended alternately get fragmented block maps, many runs of
+// one hugeblock. Tagged IO over them must issue exactly the commands of
+// the per-hugeblock walk: offsets, lengths and subcmds.
+TEST(MicroFsTest, HugeblockIoFollowsFragmentedBlockMap) {
+  sim::Engine eng;
+  hw::RamDevice ram(64_MiB, 4096);
+  CommandLog dev(ram);
+  Options options;
+  options.io_batch_hugeblocks = 4;
+  const uint64_t B = options.hugeblock_size;
+  auto fs = eng.run_task(MicroFs::format(eng, dev, options)).value();
+  eng.run_task([](MicroFs& m, CommandLog& d, uint64_t B) -> sim::Task<void> {
+    auto a = co_await m.creat("/a");
+    auto b = co_await m.creat("/b");
+    // The root dirfile holds block 0; a fresh pool hands out the rest in
+    // index order, so the appends below map these blocks.
+    EXPECT_EQ(m.data_region_blocks() - m.free_blocks(), 1u);
+    uint64_t next = 1;
+    std::vector<uint64_t> blocks[2];
+    uint64_t data_base = 0;
+    const uint64_t appends[] = {1, 1, 1, 1, 6, 1, 1, 3, 9, 2, 1, 1, 5};
+    for (size_t i = 0; i < std::size(appends); ++i) {
+      std::vector<uint64_t>& file = blocks[i % 2];
+      const uint64_t first = file.size();
+      for (uint64_t k = 0; k < appends[i]; ++k) file.push_back(next++);
+      const int fd = i % 2 == 0 ? *a : *b;
+      const size_t from = d.cmds.size();
+      EXPECT_TRUE((co_await m.write_tagged(fd, appends[i] * B)).ok());
+      const auto got = d.tagged_since(from);
+      if (i == 0 && !got.empty()) data_base = std::get<0>(got[0]) - B;
+      EXPECT_EQ(got, per_block_walk(file, first, file.size() - 1, 4,
+                                    data_base, B))
+          << "append " << i;
+    }
+    // The whole of /a (7 runs), then from the middle of its third run.
+    EXPECT_EQ(blocks[0].size(), 24u);
+    const uint64_t starts[] = {0, 3};
+    for (const uint64_t from_hb : starts) {
+      EXPECT_TRUE(m.seek(*a, from_hb * B + 100).ok());
+      const size_t from = d.cmds.size();
+      EXPECT_TRUE((co_await m.read_tagged(*a, 24 * B)).ok());
+      EXPECT_EQ(d.tagged_since(from),
+                per_block_walk(blocks[0], from_hb, 23, 4, data_base, B))
+          << "read from hugeblock " << from_hb;
+    }
+    co_await m.close(*a);
+    co_await m.close(*b);
+    EXPECT_TRUE((co_await m.verify_tagged("/b")).ok());
+  }(*fs, dev, B));
+}
+
+// Table I counts a file's block map as the per-hugeblock array the paper
+// keeps: 38 appends of 128 hugeblocks grow it as a std::vector grows, to
+// 8192 slots; a truncating open keeps the slots; an instance recovered
+// from a state checkpoint sizes the array to the blocks it maps.
+TEST(MicroFsTest, DramFootprintModelsPerHugeblockArrays) {
+  sim::Engine eng;
+  hw::RamDevice dev(256_MiB, 4096);
+  const uint64_t B = Options{}.hugeblock_size;
+  auto fs = eng.run_task(MicroFs::format(eng, dev)).value();
+  uint64_t empty = 0;  // footprint with /ckpt created, no blocks mapped
+  eng.run_task([](MicroFs& m, uint64_t B, uint64_t& empty) -> sim::Task<void> {
+    auto fd = co_await m.creat("/ckpt");
+    empty = m.dram_footprint();
+    for (int i = 0; i < 38; ++i) {
+      EXPECT_TRUE((co_await m.write_tagged(*fd, 128 * B)).ok());
+    }
+    co_await m.close(*fd);
+    EXPECT_EQ(m.dram_footprint(), empty + 8192 * sizeof(uint64_t));
+    EXPECT_TRUE((co_await m.checkpoint_state()).ok());
+  }(*fs, B, empty));
+
+  auto recovered = eng.run_task(MicroFs::recover(eng, dev)).value();
+  EXPECT_EQ(recovered->dram_footprint(),
+            empty + 38 * 128 * sizeof(uint64_t));
+
+  eng.run_task([](MicroFs& m) -> sim::Task<void> {
+    auto fd = co_await m.creat("/ckpt");  // O_TRUNC
+    co_await m.close(*fd);
+  }(*fs));
+  EXPECT_EQ(fs->stat("/ckpt")->size, 0u);
+  EXPECT_EQ(fs->dram_footprint(), empty + 8192 * sizeof(uint64_t));
 }
 
 TEST(MicroFsTest, MountOfGarbageDeviceFails) {

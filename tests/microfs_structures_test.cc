@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <set>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "hw/ram_device.h"
 #include "microfs/block_pool.h"
+#include "microfs/codec.h"
 #include "microfs/dirfile.h"
 #include "microfs/inode.h"
 #include "microfs/oplog.h"
@@ -24,38 +26,138 @@ using namespace nvmecr::literals;
 // BlockPool
 // ---------------------------------------------------------------------
 
+/// A flat ring with one entry and one bit per hugeblock: the reference
+/// BlockPool's run queues must match, in the blocks they hand out and in
+/// the bytes they serialize.
+class FlatRing {
+ public:
+  explicit FlatRing(uint64_t n) : ring_(n), allocated_(n, false), live_(n) {
+    std::iota(ring_.begin(), ring_.end(), uint64_t{0});
+  }
+
+  StatusOr<uint64_t> alloc() {
+    if (live_ == 0) return NoSpaceError("hugeblock pool exhausted");
+    const uint64_t block = ring_[head_];
+    head_ = (head_ + 1) % ring_.size();
+    --live_;
+    NVMECR_CHECK(!allocated_[block]);
+    allocated_[block] = true;
+    return block;
+  }
+
+  Status free(uint64_t block) {
+    if (block >= ring_.size()) return InvalidArgumentError("out of range");
+    if (!allocated_[block]) return InternalError("double free");
+    allocated_[block] = false;
+    ring_[(head_ + live_) % ring_.size()] = block;
+    ++live_;
+    return OkStatus();
+  }
+
+  uint64_t free_count() const { return live_; }
+  bool is_allocated(uint64_t block) const { return allocated_[block]; }
+
+  void serialize(std::vector<std::byte>& out) const {
+    Encoder enc(out);
+    enc.u64(ring_.size());
+    enc.u64(head_);
+    enc.u64(live_);
+    for (uint64_t v : ring_) enc.u64(v);
+    for (uint64_t i = 0; i < ring_.size(); i += 64) {
+      uint64_t word = 0;
+      for (uint64_t b = 0; b < 64 && i + b < ring_.size(); ++b) {
+        if (allocated_[i + b]) word |= 1ull << b;
+      }
+      enc.u64(word);
+    }
+  }
+
+ private:
+  std::vector<uint64_t> ring_;
+  std::vector<bool> allocated_;
+  uint64_t head_ = 0;
+  uint64_t live_ = 0;
+};
+
+/// The hugeblocks `runs` cover, one entry per hugeblock.
+std::vector<uint64_t> expand(std::span<const BlockRun> runs) {
+  std::vector<uint64_t> blocks;
+  for (const BlockRun& run : runs) {
+    for (uint64_t i = 0; i < run.count; ++i) blocks.push_back(run.start + i);
+  }
+  return blocks;
+}
+
+std::vector<std::byte> serialized(const BlockPool& pool) {
+  std::vector<std::byte> buf;
+  pool.serialize(buf);
+  return buf;
+}
+
 TEST(BlockPoolTest, AllocInIndexOrderWhenFresh) {
   BlockPool pool(8);
-  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(*pool.alloc(), i);
-  EXPECT_EQ(pool.alloc().status().code(), ErrorCode::kNoSpace);
+  std::vector<BlockRun> runs;
+  ASSERT_TRUE(pool.alloc(3, runs).ok());
+  ASSERT_TRUE(pool.alloc(5, runs).ok());
+  EXPECT_EQ(runs, (std::vector<BlockRun>{{0, 8}}));  // merged: contiguous
+  EXPECT_EQ(pool.alloc(1, runs).code(), ErrorCode::kNoSpace);
+  EXPECT_EQ(runs.size(), 1u);
 }
 
 TEST(BlockPoolTest, FreeRecyclesFifo) {
   BlockPool pool(4);
-  for (int i = 0; i < 4; ++i) (void)*pool.alloc();
-  EXPECT_TRUE(pool.free(2).ok());
-  EXPECT_TRUE(pool.free(0).ok());
-  EXPECT_EQ(*pool.alloc(), 2u);  // freed order, not index order
-  EXPECT_EQ(*pool.alloc(), 0u);
+  std::vector<BlockRun> all;
+  ASSERT_TRUE(pool.alloc(4, all).ok());
+  const std::vector<BlockRun> freed = {{2, 1}, {0, 1}};
+  EXPECT_TRUE(pool.free(freed).ok());
+  std::vector<BlockRun> again;
+  ASSERT_TRUE(pool.alloc(2, again).ok());
+  EXPECT_EQ(again, freed);  // freed order, not index order
 }
 
 TEST(BlockPoolTest, DoubleFreeDetected) {
   BlockPool pool(4);
-  (void)*pool.alloc();
-  EXPECT_TRUE(pool.free(0).ok());
-  EXPECT_EQ(pool.free(0).code(), ErrorCode::kInternal);
-  EXPECT_EQ(pool.free(99).code(), ErrorCode::kInvalidArgument);
+  std::vector<BlockRun> runs;
+  ASSERT_TRUE(pool.alloc(1, runs).ok());
+  EXPECT_TRUE(pool.free(runs).ok());
+  EXPECT_EQ(pool.free(runs).code(), ErrorCode::kInternal);
+  const BlockRun out_of_range[] = {{99, 1}};
+  EXPECT_EQ(pool.free(out_of_range).code(), ErrorCode::kInvalidArgument);
+  const BlockRun overflowing[] = {{2, UINT64_MAX}};
+  EXPECT_EQ(pool.free(overflowing).code(), ErrorCode::kInvalidArgument);
+
+  // All or nothing: a run whose second block is already free frees
+  // nothing, not even its first block.
+  runs.clear();
+  ASSERT_TRUE(pool.alloc(3, runs).ok());  // blocks 1, 2, 3
+  const BlockRun second[] = {{2, 1}};
+  ASSERT_TRUE(pool.free(second).ok());
+  const std::vector<std::byte> before = serialized(pool);
+  const BlockRun straddling[] = {{1, 2}};
+  EXPECT_EQ(pool.free(straddling).code(), ErrorCode::kInternal);
+  EXPECT_TRUE(pool.is_allocated(1));
+  EXPECT_EQ(pool.free_count(), 2u);
+  EXPECT_EQ(serialized(pool), before);
+  // So does a block listed twice, and a bad run after good ones.
+  const BlockRun twice[] = {{1, 1}, {1, 1}};
+  EXPECT_EQ(pool.free(twice).code(), ErrorCode::kInternal);
+  const BlockRun good_then_bad[] = {{1, 1}, {3, 1}, {4, 1}};
+  EXPECT_EQ(pool.free(good_then_bad).code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(pool.is_allocated(1));
+  EXPECT_TRUE(pool.is_allocated(3));
+  EXPECT_EQ(serialized(pool), before);
 }
 
 TEST(BlockPoolTest, CountsTrack) {
   BlockPool pool(10);
   EXPECT_EQ(pool.free_count(), 10u);
-  (void)*pool.alloc();
-  (void)*pool.alloc();
+  std::vector<BlockRun> runs;
+  ASSERT_TRUE(pool.alloc(2, runs).ok());
   EXPECT_EQ(pool.free_count(), 8u);
   EXPECT_EQ(pool.allocated_count(), 2u);
   EXPECT_TRUE(pool.is_allocated(0));
   EXPECT_FALSE(pool.is_allocated(5));
+  EXPECT_FALSE(pool.is_allocated(10));
 }
 
 TEST(BlockPoolTest, DeterministicSequences) {
@@ -66,30 +168,30 @@ TEST(BlockPoolTest, DeterministicSequences) {
   std::vector<uint64_t> live;
   for (int i = 0; i < 500; ++i) {
     if (live.empty() || rng.uniform(3) != 0) {
-      auto ba = a.alloc();
-      auto bb = b.alloc();
-      ASSERT_EQ(ba.ok(), bb.ok());
-      if (ba.ok()) {
-        ASSERT_EQ(*ba, *bb);
-        live.push_back(*ba);
-      }
+      std::vector<BlockRun> ra, rb;
+      const uint64_t n = 1 + rng.uniform(4);
+      const Status sa = a.alloc(n, ra);
+      ASSERT_EQ(sa.code(), b.alloc(n, rb).code());
+      ASSERT_EQ(ra, rb);
+      for (uint64_t block : expand(ra)) live.push_back(block);
     } else {
       const size_t pick = rng.uniform(live.size());
-      const uint64_t block = live[pick];
+      const BlockRun run[] = {{live[pick], 1}};
       live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
-      ASSERT_TRUE(a.free(block).ok());
-      ASSERT_TRUE(b.free(block).ok());
+      ASSERT_TRUE(a.free(run).ok());
+      ASSERT_TRUE(b.free(run).ok());
     }
   }
+  EXPECT_EQ(serialized(a), serialized(b));
 }
 
 TEST(BlockPoolTest, SerializeRoundtrip) {
   BlockPool pool(32);
-  for (int i = 0; i < 20; ++i) (void)*pool.alloc();
-  ASSERT_TRUE(pool.free(3).ok());
-  ASSERT_TRUE(pool.free(17).ok());
-  std::vector<std::byte> buf;
-  pool.serialize(buf);
+  std::vector<BlockRun> runs;
+  ASSERT_TRUE(pool.alloc(20, runs).ok());
+  const BlockRun freed[] = {{3, 1}, {17, 1}};
+  ASSERT_TRUE(pool.free(freed).ok());
+  std::vector<std::byte> buf = serialized(pool);
 
   BlockPool restored;
   auto used = restored.deserialize(buf);
@@ -97,8 +199,12 @@ TEST(BlockPoolTest, SerializeRoundtrip) {
   EXPECT_EQ(*used, buf.size());
   EXPECT_EQ(restored.free_count(), pool.free_count());
   EXPECT_EQ(restored.total(), pool.total());
+  EXPECT_EQ(serialized(restored), buf);
   // Continued allocation matches.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(*pool.alloc(), *restored.alloc());
+  std::vector<BlockRun> a, b;
+  ASSERT_TRUE(pool.alloc(10, a).ok());
+  ASSERT_TRUE(restored.alloc(10, b).ok());
+  EXPECT_EQ(a, b);
 }
 
 TEST(BlockPoolTest, RingWrapMatchesFifoReference) {
@@ -112,23 +218,26 @@ TEST(BlockPoolTest, RingWrapMatchesFifoReference) {
   Rng rng(17);
   uint64_t allocs = 0;
   for (int step = 0; step < 4000; ++step) {
+    std::vector<BlockRun> runs;
     if (fifo.empty()) {
-      EXPECT_EQ(pool.alloc().status().code(), ErrorCode::kNoSpace);
+      EXPECT_EQ(pool.alloc(1, runs).code(), ErrorCode::kNoSpace);
     }
     if (!fifo.empty() && (live.empty() || rng.uniform(2) == 0)) {
-      auto block = pool.alloc();
-      ASSERT_TRUE(block.ok());
-      ASSERT_EQ(*block, fifo.front());
-      fifo.pop_front();
-      live.push_back(*block);
-      ++allocs;
+      const uint64_t n = 1 + rng.uniform(fifo.size());
+      ASSERT_TRUE(pool.alloc(n, runs).ok());
+      for (uint64_t block : expand(runs)) {
+        ASSERT_EQ(block, fifo.front());
+        fifo.pop_front();
+        live.push_back(block);
+        ++allocs;
+      }
     } else {
       const size_t pick = rng.uniform(live.size());
-      const uint64_t block = live[pick];
+      const BlockRun run[] = {{live[pick], 1}};
       live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
-      ASSERT_TRUE(pool.free(block).ok());
-      fifo.push_back(block);
-      EXPECT_EQ(pool.free(block).code(), ErrorCode::kInternal);
+      ASSERT_TRUE(pool.free(run).ok());
+      fifo.push_back(run[0].start);
+      EXPECT_EQ(pool.free(run).code(), ErrorCode::kInternal);
     }
     ASSERT_EQ(pool.free_count(), fifo.size());
     for (uint64_t b = 0; b < kBlocks; ++b) {
@@ -137,35 +246,134 @@ TEST(BlockPoolTest, RingWrapMatchesFifoReference) {
     }
   }
   EXPECT_GT(allocs, 100 * kBlocks);
-  EXPECT_EQ(pool.free(kBlocks).code(), ErrorCode::kInvalidArgument);
+  const BlockRun past_end[] = {{kBlocks, 1}};
+  EXPECT_EQ(pool.free(past_end).code(), ErrorCode::kInvalidArgument);
   EXPECT_FALSE(pool.is_allocated(kBlocks));
 
   // A snapshot taken mid-lap restores the wrapped ring: free the live
   // blocks into both pools, then both hand out the reference sequence.
-  std::vector<std::byte> buf;
-  pool.serialize(buf);
   BlockPool restored;
-  ASSERT_TRUE(restored.deserialize(buf).ok());
+  ASSERT_TRUE(restored.deserialize(serialized(pool)).ok());
   for (uint64_t block : live) {
-    ASSERT_TRUE(pool.free(block).ok());
-    ASSERT_TRUE(restored.free(block).ok());
+    const BlockRun run[] = {{block, 1}};
+    ASSERT_TRUE(pool.free(run).ok());
+    ASSERT_TRUE(restored.free(run).ok());
     fifo.push_back(block);
   }
-  for (uint64_t want : fifo) {
-    EXPECT_EQ(*pool.alloc(), want);
-    EXPECT_EQ(*restored.alloc(), want);
+  std::vector<BlockRun> a, b;
+  ASSERT_TRUE(pool.alloc(kBlocks, a).ok());
+  ASSERT_TRUE(restored.alloc(kBlocks, b).ok());
+  EXPECT_EQ(expand(a), std::vector<uint64_t>(fifo.begin(), fifo.end()));
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(restored.alloc(1, b).code(), ErrorCode::kNoSpace);
+}
+
+// Files grow by appends and are freed whole or in part, as MicroFs does
+// with its block maps; after every step the pool must match the flat
+// ring in the blocks it hands out, its counts, its bitmap and its bytes.
+TEST(BlockPoolTest, MatchesFlatRingReference) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    constexpr uint64_t kBlocks = 300;
+    BlockPool pool(kBlocks);
+    FlatRing ref(kBlocks);
+    std::vector<std::vector<BlockRun>> files(6);
+    Rng rng(seed);
+    for (int step = 0; step < 3000; ++step) {
+      std::vector<BlockRun>& file = files[rng.uniform(files.size())];
+      const uint64_t op = rng.uniform(8);
+      if (op < 5) {  // append n blocks
+        const uint64_t n = 1 + rng.uniform(op == 0 ? 120 : 8);
+        const size_t had = expand(file).size();
+        const Status s = pool.alloc(n, file);
+        if (ref.free_count() < n) {
+          ASSERT_EQ(s.code(), ErrorCode::kNoSpace);
+          ASSERT_EQ(expand(file).size(), had);
+        } else {
+          ASSERT_TRUE(s.ok());
+          const std::vector<uint64_t> got = expand(file);
+          for (size_t i = had; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], *ref.alloc());
+          }
+          for (size_t r = 1; r < file.size(); ++r) {  // maximal runs
+            ASSERT_NE(file[r - 1].start + file[r - 1].count, file[r].start);
+          }
+        }
+      } else if (op < 7) {  // free the whole file, or a tail cut mid-run
+        std::vector<uint64_t> blocks = expand(file);
+        const size_t keep = op == 5 ? 0 : rng.uniform(blocks.size() + 1);
+        std::vector<BlockRun> tail;
+        for (size_t i = keep; i < blocks.size(); ++i) {
+          append_run(tail, {blocks[i], 1});
+        }
+        ASSERT_TRUE(pool.free(tail).ok());
+        for (size_t i = keep; i < blocks.size(); ++i) {
+          ASSERT_TRUE(ref.free(blocks[i]).ok());
+        }
+        blocks.resize(keep);
+        file.clear();
+        for (uint64_t b : blocks) append_run(file, {b, 1});
+      } else if (!file.empty()) {  // a bad free changes nothing
+        std::vector<BlockRun> bad = file;
+        bad.push_back(file.front());
+        ASSERT_EQ(pool.free(bad).code(), ErrorCode::kInternal);
+      }
+      ASSERT_EQ(pool.free_count(), ref.free_count());
+      ASSERT_EQ(pool.allocated_count(), kBlocks - ref.free_count());
+      for (uint64_t b = 0; b < kBlocks; ++b) {
+        ASSERT_EQ(pool.is_allocated(b), ref.is_allocated(b)) << b;
+      }
+      std::vector<std::byte> want;
+      ref.serialize(want);
+      ASSERT_EQ(serialized(pool), want) << "step " << step;
+    }
+    const std::vector<std::byte> bytes = serialized(pool);
+    BlockPool restored;
+    ASSERT_TRUE(restored.deserialize(bytes).ok());
+    EXPECT_EQ(serialized(restored), bytes);
   }
-  EXPECT_EQ(restored.alloc().status().code(), ErrorCode::kNoSpace);
 }
 
 TEST(BlockPoolTest, DeserializeRejectsCorruption) {
   BlockPool pool(8);
-  (void)*pool.alloc();
-  std::vector<std::byte> buf;
-  pool.serialize(buf);
+  std::vector<BlockRun> runs;
+  ASSERT_TRUE(pool.alloc(1, runs).ok());
+  std::vector<std::byte> buf = serialized(pool);
   buf[10] ^= std::byte{0xff};
   BlockPool restored;
   EXPECT_FALSE(restored.deserialize(buf).ok());
+}
+
+// A count read from the device must be checked against the bytes that
+// follow it before anything is sized by it: vector::resize throws
+// length_error or bad_alloc on such counts, which aborts inside recover().
+TEST(BlockPoolTest, DeserializeRejectsOversizedCounts) {
+  for (const uint64_t total : {uint64_t{1} << 61, uint64_t{1} << 36}) {
+    std::vector<std::byte> buf;
+    Encoder enc(buf);
+    enc.u64(total);
+    enc.u64(0);  // head
+    enc.u64(0);  // live
+    enc.u64(0);
+    BlockPool restored;
+    EXPECT_EQ(restored.deserialize(buf).status().code(),
+              ErrorCode::kCorruption);
+
+    buf.clear();
+    Inode inode;
+    inode.serialize(enc);
+    buf.resize(buf.size() - 8);  // replace the block count
+    enc.u64(total);
+    enc.u64(7);
+    Decoder dec(buf);
+    EXPECT_EQ(Inode().deserialize(dec).code(), ErrorCode::kCorruption);
+  }
+  // Ring entries fit but the bitmap words do not.
+  std::vector<std::byte> buf = serialized(BlockPool(128));
+  buf.resize(buf.size() - 8);
+  BlockPool restored;
+  EXPECT_EQ(restored.deserialize(buf).status().code(),
+            ErrorCode::kCorruption);
 }
 
 // ---------------------------------------------------------------------
@@ -193,7 +401,7 @@ TEST(InodeTableTest, SerializeRoundtripPreservesEverything) {
   a.seed = 0xabcdef;
   a.mode = 0600;
   a.content = ContentKind::kTagged;
-  a.blocks = {7, 8, 9};
+  for (uint64_t b : {7, 8, 9}) a.blocks.push_back(b);
   Inode& d = t.alloc(InodeType::kDirectory);
   d.size = 64;
 
@@ -209,8 +417,69 @@ TEST(InodeTableTest, SerializeRoundtripPreservesEverything) {
   EXPECT_EQ(ra->seed, 0xabcdefu);
   EXPECT_EQ(ra->mode, 0600u);
   EXPECT_EQ(ra->content, ContentKind::kTagged);
-  EXPECT_EQ(ra->blocks, (std::vector<uint64_t>{7, 8, 9}));
+  EXPECT_EQ(ra->blocks.runs(), (std::vector<BlockRun>{{7, 3}}));
   EXPECT_EQ(r.next_ino(), t.next_ino());
+}
+
+// A fragmented map is held as its maximal runs but encoded one entry per
+// hugeblock, byte for byte as the per-hugeblock array was.
+TEST(InodeTableTest, FragmentedBlockMapRoundTrip) {
+  const std::vector<uint64_t> blocks = {7, 8, 9, 3, 4, 20};
+  Inode inode;
+  inode.ino = 5;
+  inode.size = 6 * 32_KiB;
+  for (uint64_t b : blocks) inode.blocks.push_back(b);
+  EXPECT_EQ(inode.blocks.runs(),
+            (std::vector<BlockRun>{{7, 3}, {3, 2}, {20, 1}}));
+  ASSERT_EQ(inode.blocks.size(), blocks.size());
+  for (uint64_t hb = 0; hb < blocks.size(); ++hb) {
+    EXPECT_EQ(inode.blocks.at(hb), blocks[hb]) << hb;
+  }
+
+  std::vector<std::byte> want;
+  {
+    Encoder enc(want);
+    enc.u64(inode.ino);
+    enc.u8(static_cast<uint8_t>(inode.type));
+    enc.u32(inode.mode);
+    enc.u32(inode.uid);
+    enc.u64(inode.size);
+    enc.u64(inode.seed);
+    enc.u8(static_cast<uint8_t>(inode.content));
+    enc.u64(blocks.size());
+    for (uint64_t b : blocks) enc.u64(b);
+  }
+  std::vector<std::byte> got;
+  Encoder enc(got);
+  inode.serialize(enc);
+  EXPECT_EQ(got, want);
+
+  Inode back;
+  Decoder dec(got);
+  ASSERT_TRUE(back.deserialize(dec).ok());
+  EXPECT_EQ(back.blocks.runs(), inode.blocks.runs());
+  EXPECT_EQ(back.blocks.slots(), blocks.size());
+  std::vector<std::byte> again;
+  Encoder enc2(again);
+  back.serialize(enc2);
+  EXPECT_EQ(again, want);
+}
+
+// Table I counts each map as the per-hugeblock std::vector it replaced:
+// slots grow to max(needed, 2 * mapped) on overflow and survive release.
+TEST(InodeTableTest, BlockMapSlotsModelVectorGrowth) {
+  BlockPool pool(8192);
+  BlockMap map;
+  for (int i = 0; i < 38; ++i) ASSERT_TRUE(map.grow(pool, 128).ok());
+  EXPECT_EQ(map.size(), 38u * 128);
+  EXPECT_EQ(map.slots(), 8192u);
+  EXPECT_EQ(map.runs(), (std::vector<BlockRun>{{0, 38 * 128}}));
+  EXPECT_EQ(map.grow(pool, 8192).code(), ErrorCode::kNoSpace);
+  EXPECT_EQ(map.slots(), 8192u);
+  ASSERT_TRUE(map.release(pool).ok());
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.slots(), 8192u);
+  EXPECT_EQ(pool.free_count(), 8192u);
 }
 
 // ---------------------------------------------------------------------

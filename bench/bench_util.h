@@ -73,18 +73,13 @@ inline uint64_t partition_for(const ComdParams& p) {
 /// Deploys NVMe-CR for `params` on a fresh cluster and runs the job.
 /// `observer` (optional) instruments the whole stack — pass
 /// obs::RunReport::observer() to capture a trace/metrics snapshot of the
-/// run. `force_profile_hooks` arms the engine's profile-context hooks
-/// without any profiler consuming them — the configuration the
-/// obs-overhead gate measures (DESIGN.md §9).
+/// run.
 inline JobMetrics run_nvmecr(const ComdParams& params,
                              RuntimeConfig config = default_runtime_config(),
-                             StorageSystem** out_system = nullptr,
                              uint32_t num_ssds = 8,
-                             const obs::Observer& observer = {},
-                             bool force_profile_hooks = false) {
+                             const obs::Observer& observer = {}) {
   Cluster cluster;
   if (observer.any()) cluster.install_observer(observer);
-  if (force_profile_hooks) cluster.engine().set_profile_hooks(true);
   Scheduler sched(cluster);
   auto job = sched.allocate(params.nranks, params.procs_per_node,
                             partition_for(params), num_ssds);
@@ -92,7 +87,6 @@ inline JobMetrics run_nvmecr(const ComdParams& params,
   nvmecr_rt::NvmecrSystem system(cluster, *job, config);
   auto m = ComdDriver::run(cluster, system, params);
   NVMECR_CHECK(m.ok());
-  if (out_system != nullptr) *out_system = nullptr;  // system is scoped
   return *m;
 }
 

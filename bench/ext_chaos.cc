@@ -11,8 +11,7 @@
 //
 // A second section runs a quick chaos campaign and reports the verdict
 // tally — the fraction of schedules fully absorbed by the resilience
-// stack (the `campaign.efficiency` number perf_suite records as an
-// informational key).
+// stack.
 //
 // Run:  ./build/bench/ext_chaos [--csv FILE] [--schedules N]
 #include <cstdio>

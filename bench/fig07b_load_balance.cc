@@ -23,8 +23,8 @@ int main() {
 
     // SSD count per the paper's process:SSD guidance (one SSD per 56
     // processes) so partial round-robin rounds don't appear as imbalance.
-    const JobMetrics nv = run_nvmecr(params, default_runtime_config(),
-                                     nullptr, /*num_ssds=*/0);
+    const JobMetrics nv =
+        run_nvmecr(params, default_runtime_config(), /*num_ssds=*/0);
     const JobMetrics orange = run_dfs("OrangeFS", params);
     const JobMetrics gluster = run_dfs("GlusterFS", params);
     table.add_row({TablePrinter::num(nranks),

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   if (report.enabled()) {
     std::printf("\ninstrumented rerun: weak scaling, 112 processes\n");
     run_nvmecr(weak_scaling_params(112), default_runtime_config(),
-               /*out_system=*/nullptr, /*num_ssds=*/8, report.observer());
+               /*num_ssds=*/8, report.observer());
     report.finish();
   }
   return 0;

@@ -1,15 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the real data structures the
 // control plane runs on: the DRAM B+Tree, the circular hugeblock pool
 // (alone and under MicroFs file growth), operation-log record
-// encode/append (with and without coalescing), and the kernel-FS
-// comparator model's per-write bookkeeping.
+// encode/append (with and without coalescing), the kernel-FS
+// comparator model's per-write bookkeeping, the engine's timer tiers and
+// CRC64.
 // These measure host CPU, not simulated time — they justify the
-// control-plane cost constants used by the simulation.
+// control-plane cost constants used by the simulation. They are
+// informational: no CI job gates on them (perfbench/ is the host-time
+// benchmark).
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "common/crc.h"
 #include "common/rng.h"
 #include "hw/nvme_ssd.h"
 #include "hw/ram_device.h"
@@ -190,11 +194,9 @@ sim::Task<void> near_timer(sim::Engine& eng, uint32_t id, uint32_t hops) {
 }
 
 void BM_SchedulerNearTimer(benchmark::State& state) {
-  const bool calendar = state.range(0) != 0;
   uint64_t events = 0;
   for (auto _ : state) {
     sim::Engine eng;
-    eng.set_calendar_enabled(calendar);
     for (uint32_t id = 0; id < 256; ++id) {
       eng.spawn(near_timer(eng, id, 128));
     }
@@ -202,20 +204,16 @@ void BM_SchedulerNearTimer(benchmark::State& state) {
     events += eng.events_dispatched();
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.SetLabel(calendar ? "calendar" : "heap-only");
 }
-BENCHMARK(BM_SchedulerNearTimer)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchedulerNearTimer)->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerFarFuture(benchmark::State& state) {
   // Worst case for the calendar tier: far-future-skewed timers that
-  // mostly bypass the buckets. Arg(1) vs Arg(0) shows what the calendar
-  // costs (or saves) when it cannot absorb the load — the honest
-  // counterpart to the near-timer-heavy e2e numbers in perf_suite.
-  const bool calendar = state.range(0) != 0;
+  // mostly bypass the buckets and go through the heap and window
+  // rotation — the counterpart to BM_SchedulerNearTimer.
   uint64_t events = 0;
   for (auto _ : state) {
     sim::Engine eng;
-    eng.set_calendar_enabled(calendar);
     for (uint32_t id = 0; id < 64; ++id) {
       eng.spawn(far_future_timer(eng, id, 128));
     }
@@ -223,9 +221,30 @@ void BM_SchedulerFarFuture(benchmark::State& state) {
     events += eng.events_dispatched();
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.SetLabel(calendar ? "calendar" : "heap-only");
 }
-BENCHMARK(BM_SchedulerFarFuture)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchedulerFarFuture)->Unit(benchmark::kMillisecond);
+
+void BM_Crc64(benchmark::State& state) {
+  // Arg(0): the byte-at-a-time reference; Arg(1): the slice-by-16 hot
+  // path, over the same 1 MiB buffer. Both produce the same CRC with one
+  // table lookup per byte, so only host time tells them apart.
+  const bool sliced = state.range(0) != 0;
+  std::vector<unsigned char> buf(1_MiB);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(mix64(i) & 0xff);
+  }
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sliced ? crc64(buf.data(), buf.size(), seed++)
+               : nvmecr::detail::crc64_reference(buf.data(), buf.size(),
+                                                 seed++));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+  state.SetLabel(sliced ? "slice-by-16" : "bytewise");
+}
+BENCHMARK(BM_Crc64)->Arg(0)->Arg(1);
 
 void BM_OpLogAppend(benchmark::State& state) {
   const bool coalesce = state.range(0) != 0;

@@ -7,8 +7,9 @@
 // Hot path: sliced table lookups — sixteen compile-time 256-entry
 // tables let the loop consume 16 bytes per iteration ("slice-by-16",
 // the same scheme xz/zlib-ng use) instead of one table lookup per byte
-// (~5-10x on typical hosts; see bench/perf_suite "crc64"). The tables
-// are constexpr so they live in .rodata and cost nothing at startup.
+// (~5-10x on typical hosts; bench/micro_structures' BM_Crc64 measures
+// it). The tables are constexpr so they live in .rodata and cost
+// nothing at startup.
 // Results are bit-identical to the byte-at-a-time reference, which is
 // kept for tests and benchmarking.
 #pragma once
@@ -61,7 +62,7 @@ inline uint64_t load_le64(const unsigned char* p) {
 inline constexpr Crc64Tables kCrc64Tables = make_crc64_tables();
 
 /// Byte-at-a-time reference implementation. Kept as the ground truth for
-/// the slice-by-8 equivalence test and as the perf_suite baseline; use
+/// common_test's equivalence check and as BM_Crc64's baseline arm; use
 /// crc64() everywhere else.
 inline uint64_t crc64_reference(const void* data, size_t len,
                                 uint64_t seed = 0) {

@@ -19,12 +19,12 @@
 //      kCalBuckets fixed-width buckets land in their bucket with an O(1)
 //      unsorted append; a bucket is sorted once when it matures and then
 //      drained as one contiguous FIFO. This is where the bulk of a real
-//      run's events live (e2e.ring_hit_frac measured 0.0023 — almost
-//      everything is a real future timestamp).
+//      run's events live: perf_determinism_test's 28-rank golden run
+//      serves over 99% of its dispatches from here.
 //   3. Binary min-heap — timestamps beyond the calendar window. The
-//      window rotates onto the heap's earliest bucket whenever the
-//      calendar drains, pulling everything below the new window limit
-//      back down into buckets.
+//      window re-anchors at the current time whenever the calendar
+//      drains, pulling everything below the new window limit back down
+//      into buckets.
 //
 // The global insertion sequence keeps the dispatch order bit-identical
 // to a single (time, seq) priority queue across all three tiers:
@@ -38,9 +38,6 @@
 //   - ring entries are always newer (larger seq) than any future entry
 //     that matured to the same timestamp, and the dispatch loop drains
 //     matured future entries first.
-// set_calendar_enabled(false) collapses tiers 2–3 back into the plain
-// heap — the in-process baseline arm for perf_suite, asserted
-// schedule-identical by perf_determinism_test.
 #pragma once
 
 #include <coroutine>
@@ -76,13 +73,10 @@ class Engine {
   /// profiler can attribute the resumption to the scheduling scope.
   void schedule_at(SimTime t, std::coroutine_handle<> h) {
     if (t <= now_) {
-      if (now_ring_enabled_) {
-        ring_push(Ready{seq_++, h, profile_ctx_});
-        return;
-      }
-      t = now_;
+      ring_push(Ready{seq_++, h, profile_ctx_});
+    } else {
+      future_push(Item{t, seq_++, h, profile_ctx_});
     }
-    future_push(Item{t, seq_++, h, profile_ctx_});
   }
 
   /// Schedules `h` to resume at the current time, after already-queued
@@ -162,30 +156,6 @@ class Engine {
   /// Dispatches served from a matured calendar bucket (vs the heap).
   uint64_t calendar_hits() const { return calendar_hits_; }
 
-  /// Disables the now ring so every event goes through the future tiers
-  /// — the pre-two-tier dispatch path. The schedule must be
-  /// bit-identical either way; perf_suite uses this as its in-process
-  /// baseline and the determinism regression test asserts the
-  /// equivalence. Only call on a quiescent engine (empty ring).
-  void set_now_ring_enabled(bool enabled) {
-    NVMECR_CHECK(ring_size_ == 0);
-    now_ring_enabled_ = enabled;
-  }
-  bool now_ring_enabled() const { return now_ring_enabled_; }
-
-  /// Disables the calendar tier so every future event goes through the
-  /// binary heap — the pre-calendar dispatch path. Schedule-neutral by
-  /// construction (perf_determinism_test pins it); perf_suite's e2e
-  /// baseline arm runs with both this and the frame pool off. Only call
-  /// on a quiescent calendar (no calendar-resident events); toggling
-  /// resets the window so a stale limit can never misroute an insert.
-  void set_calendar_enabled(bool enabled) {
-    NVMECR_CHECK(cal_count_ == 0);
-    calendar_enabled_ = enabled;
-    cal_limit_ = 0;  // window re-engages on the next rotation
-  }
-  bool calendar_enabled() const { return calendar_enabled_; }
-
   /// Test hook: called once per dispatched event with (time, seq) before
   /// the resumption runs. Used by the determinism golden-trace test;
   /// null (the default) costs one branch per event.
@@ -208,8 +178,8 @@ class Engine {
 
   /// Enables the rank/meta context-stamping hooks (ProfileRankScope /
   /// ProfileMetaScope). Off by default so un-profiled runs skip even the
-  /// context arithmetic; the perf_suite overhead gate measures exactly
-  /// this flag's cost.
+  /// context arithmetic; Cluster::install_observer arms them whenever a
+  /// dispatch or epoch profiler is installed.
   void set_profile_hooks(bool enabled) { profile_hooks_ = enabled; }
   bool profile_hooks() const { return profile_hooks_; }
 
@@ -227,7 +197,7 @@ class Engine {
 
  private:
   static constexpr size_t kInitialCapacity = 256;
-  // Calendar geometry: 4096 ns buckets x 2048 buckets ≈ an 8.4 ms
+  // Calendar geometry: 16,384 ns buckets x 512 buckets ≈ an 8.4 ms
   // window, sized so a checkpoint epoch's fabric/SSD completions (µs to
   // low ms ahead of now) land in buckets while rare long sleeps
   // (health-monitor periods, PFS drains) overflow to the heap.
@@ -273,10 +243,10 @@ class Engine {
   }
 
   // --- future tiers: calendar + intrusive binary min-heap --------------
-  /// Routes a strictly-future (or clamped-to-now, ring-disabled) event
-  /// to the calendar when it falls inside the window, else to the heap.
+  /// Routes a strictly-future event to the calendar when it falls inside
+  /// the window, else to the heap.
   void future_push(Item item) {
-    if (calendar_enabled_ && item.time < cal_limit_) {
+    if (item.time < cal_limit_) {
       cal_push(item);
     } else {
       heap_push(item);
@@ -287,19 +257,17 @@ class Engine {
   /// Matures calendar buckets / rotates the window as a side effect, so
   /// call it immediately before pop_future().
   const Item* future_front() {
-    if (calendar_enabled_) {
+    if (cal_pos_ != cal_cur_.size()) return &cal_cur_[cal_pos_];
+    if (cal_count_ != 0 || !heap_.empty()) {
+      cal_settle();
       if (cal_pos_ != cal_cur_.size()) return &cal_cur_[cal_pos_];
-      if (cal_count_ != 0 || !heap_.empty()) {
-        cal_settle();
-        if (cal_pos_ != cal_cur_.size()) return &cal_cur_[cal_pos_];
-      }
     }
     return heap_.empty() ? nullptr : &heap_.front();
   }
 
   /// Pops the event future_front() just returned.
   Item pop_future() {
-    if (calendar_enabled_ && cal_pos_ != cal_cur_.size()) {
+    if (cal_pos_ != cal_cur_.size()) {
       ++calendar_hits_;
       --cal_count_;
       return cal_cur_[cal_pos_++];
@@ -373,8 +341,6 @@ class Engine {
   SimTime now_ = 0;
   uint64_t seq_ = 0;
   int live_roots_ = 0;
-  bool now_ring_enabled_ = true;
-  bool calendar_enabled_ = true;
   uint64_t events_dispatched_ = 0;
   uint64_t now_ring_hits_ = 0;
   uint64_t calendar_hits_ = 0;

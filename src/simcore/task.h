@@ -61,19 +61,14 @@ inline uint64_t g_frames_recycled = 0;
 /// Frames currently alive (allocated minus destroyed) — a cheap leak
 /// probe for tests: after an engine is torn down the delta must be zero.
 inline uint64_t g_frames_live = 0;
-/// Runtime kill switch (perf_suite's in-process baseline arm and the
-/// determinism tests flip it). Toggling is always safe mid-run: every
-/// allocation carries an origin header, so frames allocated under one
-/// setting are freed correctly under the other.
-inline bool g_frame_pooling = true;
 
 /// Size-class freelist arena for coroutine frames. Each slot is a
 /// 16-byte header (size class + freelist link) followed by the payload
 /// the coroutine frame lives in. Slabs are allocated once and retained
 /// for the life of the process (reachable from the pool, so LSan is
-/// happy); frames larger than the largest class — none exist today —
-/// fall through to the global allocator, tagged so deallocation routes
-/// correctly.
+/// happy); frames larger than the largest class — no simulator coroutine
+/// is that large — fall through to the global allocator, tagged so
+/// deallocation routes correctly.
 class FramePool {
  public:
   static constexpr size_t kHeaderBytes = 16;
@@ -83,9 +78,7 @@ class FramePool {
   static constexpr size_t kSlabBytes = 256 * 1024;
 
   void* allocate(size_t bytes) {
-    if (!g_frame_pooling || bytes > kMaxPooledBytes) {
-      return global_alloc(bytes);
-    }
+    if (bytes > kMaxPooledBytes) return global_alloc(bytes);
     const uint32_t cls =
         static_cast<uint32_t>((bytes + kGranularity - 1) / kGranularity - 1);
     Header* h = free_[cls];
@@ -245,15 +238,6 @@ inline uint64_t frames_recycled() { return detail::g_frames_recycled; }
 /// Coroutine frames currently alive. A region that creates and fully
 /// drains tasks leaves this unchanged.
 inline uint64_t frames_live() { return detail::g_frames_live; }
-
-/// Enables/disables the frame pool for *future* allocations (frames
-/// already alive free back to wherever they came from). The baseline arm
-/// of bench/perf_suite and the determinism tests use this; pooling can
-/// never change simulated results, only host speed.
-inline void set_frame_pooling(bool enabled) {
-  detail::g_frame_pooling = enabled;
-}
-inline bool frame_pooling() { return detail::g_frame_pooling; }
 
 /// A lazily-started coroutine returning T. Await it exactly once.
 template <typename T = void>

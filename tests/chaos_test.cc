@@ -274,6 +274,16 @@ TEST(CampaignTest, QuickCampaignUpholdsTrichotomy) {
   EXPECT_EQ(res.exit_code(), chaos::kExitOk);
 }
 
+TEST(CampaignTest, DefaultCampaignCompletesFirstSixSchedules) {
+  // The default 4-rank x 5-epoch stack absorbs each of the first six
+  // pinned-seed schedules and finishes digest-identical.
+  CampaignRunner runner{CampaignConfig{}};
+  const CampaignResult res = runner.run_campaign(/*schedules=*/6,
+                                                 /*shrink=*/false);
+  EXPECT_EQ(res.runs, 6u);
+  EXPECT_EQ(res.completed, 6u);
+}
+
 TEST(CampaignTest, OutcomesAreDeterministicAcrossRunners) {
   auto sweep = []() {
     CampaignRunner runner(quick_config());

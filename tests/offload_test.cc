@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "baselines/models.h"
+#include "bench_util.h"
 #include "nvmecr/runtime.h"
 #include "offload/codec.h"
 #include "offload/pipeline.h"
@@ -359,6 +360,37 @@ XorRunResult run_xor_scheme(redundancy::Scheme scheme, bool fail_and_recover) {
   return res;
 }
 
+/// Checkpoint fabric bytes of an 8-rank CoMD job (one rank per node,
+/// ~149 MiB per rank per checkpoint, 2 checkpoints, no restart) over the
+/// same XOR set size of 4.
+uint64_t comd_xor_fabric_bytes(redundancy::Scheme scheme) {
+  workloads::ComdParams params = bench::weak_scaling_params(8);
+  params.procs_per_node = 1;
+  params.checkpoints = 2;
+  params.do_recovery = false;
+  ClusterSpec spec;
+  spec.compute_nodes = 8;
+  spec.storage_nodes = 8;
+  spec.storage_racks = 8;
+  Cluster cluster(spec);
+  Scheduler sched(cluster);
+  auto job = sched.allocate(params.nranks, params.procs_per_node,
+                            bench::partition_for(params) * 2,
+                            /*num_ssds=*/4);
+  NVMECR_CHECK(job.ok());
+  nvmecr_rt::NvmecrSystem primary(cluster, *job,
+                                  bench::default_runtime_config());
+  redundancy::RedundancyOptions opts;
+  opts.scheme = scheme;
+  opts.xor_set_size = 4;
+  auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
+                                           opts);
+  NVMECR_CHECK(dep.ok());
+  const uint64_t fabric0 = cluster.network().total_bytes_sent();
+  NVMECR_CHECK(workloads::ComdDriver::run(cluster, *dep->system, params).ok());
+  return cluster.network().total_bytes_sent() - fabric0;
+}
+
 TEST(XorTargetTest, SavesFabricBytesAndMovesEncodeToTargets) {
   const XorRunResult host = run_xor_scheme(redundancy::Scheme::kXor, false);
   const XorRunResult tgt =
@@ -375,6 +407,17 @@ TEST(XorTargetTest, SavesFabricBytesAndMovesEncodeToTargets) {
                 static_cast<double>(host.ckpt_fabric_bytes);
   EXPECT_GE(savings, 0.15) << "fabric " << host.ckpt_fabric_bytes << " -> "
                            << tgt.ckpt_fabric_bytes;
+
+  // Second case: the CoMD job saves at least a quarter of its
+  // checkpoint fabric bytes.
+  const uint64_t comd_host = comd_xor_fabric_bytes(redundancy::Scheme::kXor);
+  const uint64_t comd_tgt =
+      comd_xor_fabric_bytes(redundancy::Scheme::kXorTarget);
+  ASSERT_GT(comd_host, 0u);
+  const double comd_savings = 1.0 - static_cast<double>(comd_tgt) /
+                                        static_cast<double>(comd_host);
+  EXPECT_GE(comd_savings, 0.25) << "fabric " << comd_host << " -> "
+                                << comd_tgt;
 }
 
 TEST(XorTargetTest, DecodesAfterDomainLoss) {

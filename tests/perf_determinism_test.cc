@@ -1,8 +1,11 @@
-// Determinism regression tests for the two-tier scheduler (DESIGN.md
-// §11): the now-ring is a pure performance optimization and must never
-// change *what* the simulation computes. These tests pin that down at
-// full-system scale — a fig07-style CoMD run over the real NVMe-CR
-// stack — by fingerprinting the complete dispatch schedule.
+// Determinism regression tests for the three-tier scheduler and the
+// frame pool (DESIGN.md §11). These host fast paths must never change
+// *what* the simulation computes. The tests pin that down at full-system
+// scale, a fig07-style CoMD run over the real NVMe-CR stack, by
+// fingerprinting the complete dispatch schedule. The same run also pins
+// the fast paths' host-side shape: the share of dispatches the calendar
+// serves, how many coroutine frames the run allocates, and that a warm
+// pool recycles every one of them.
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -10,6 +13,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "hw/payload_store.h"
 #include "obs/observer.h"
 #include "obs/profile.h"
 #include "offload/pipeline.h"
@@ -31,44 +35,44 @@ using workloads::ComdParams;
 
 /// Order-sensitive digest of the full (time, seq) dispatch stream plus
 /// the run's observable outcome. Any reordering — even a swap of two
-/// same-time events — changes `hash`.
+/// same-time events — changes `hash`. The host-side counters after it
+/// are deterministic too, but they describe how the host got there, not
+/// what was simulated.
 struct RunFingerprint {
   uint64_t hash = 1469598103934665603ull;  // FNV offset basis
   uint64_t events = 0;
   SimTime final_time = 0;
   SimDuration total_time = 0;
   double efficiency = 0.0;
+  uint64_t calendar_hits = 0;   // dispatches served by the calendar tier
+  uint64_t frames = 0;          // coroutine frames allocated by the run
+  uint64_t tag_reads = 0;       // PayloadStore tag reads, all SSDs
+  uint64_t tag_cache_hits = 0;
 
   bool operator==(const RunFingerprint&) const = default;
 };
 
-// Golden values for run_fingerprinted(true, 28, 2); see
+// Golden values for run_fingerprinted(28, 2); see
 // GoldenScheduleFingerprint for the update procedure.
 constexpr uint64_t kGoldenHash = 16411536983975935818ull;
 constexpr uint64_t kGoldenEvents = 71870;
 constexpr SimTime kGoldenFinalTime = 7434117816;
+// Upper bound on the golden run's coroutine frames: today's 31,108
+// (0.433 per event) plus 10% headroom. Re-splitting a flattened device
+// fast path into awaited sub-tasks breaks it: with the pure forwarders
+// awaiting their inner submit, the run took 0.483 frames per event.
+constexpr uint64_t kGoldenFramesLimit = 34200;
 
 enum class OffloadMode { kNone, kPassthrough, kAllStages };
 
-RunFingerprint run_fingerprinted(bool ring_enabled, uint32_t nranks,
-                                 uint32_t checkpoints,
+RunFingerprint run_fingerprinted(uint32_t nranks, uint32_t checkpoints,
                                  bool profiled = false,
-                                 OffloadMode offload = OffloadMode::kNone,
-                                 bool calendar_enabled = true,
-                                 bool frame_pooling = true) {
+                                 OffloadMode offload = OffloadMode::kNone) {
   ComdParams params = weak_scaling_params(nranks);
   params.checkpoints = checkpoints;
-
-  // The frame pool is process-wide; restore the default on every exit so
-  // a baseline arm can't leak its setting into the next test.
-  sim::set_frame_pooling(frame_pooling);
-  struct PoolingGuard {
-    ~PoolingGuard() { sim::set_frame_pooling(true); }
-  } pooling_guard;
+  const uint64_t frames0 = sim::frame_allocations();
 
   Cluster cluster;
-  cluster.engine().set_now_ring_enabled(ring_enabled);
-  cluster.engine().set_calendar_enabled(calendar_enabled);
   // Wall-clock profiling must be invisible to the schedule: install the
   // full profiler pair when asked, before any subsystem spins up.
   sim::DispatchProfiler prof;
@@ -122,59 +126,32 @@ RunFingerprint run_fingerprinted(bool ring_enabled, uint32_t nranks,
   fp.final_time = cluster.engine().now();
   fp.total_time = m->total_time;
   fp.efficiency = m->checkpoint_efficiency();
+  fp.calendar_hits = cluster.engine().calendar_hits();
+  fp.frames = sim::frame_allocations() - frames0;
+  for (uint32_t i = 0; i < cluster.storage_nodes().size(); ++i) {
+    const hw::PayloadStore& payload = cluster.storage_ssd(i).payload();
+    fp.tag_reads += payload.tag_reads();
+    fp.tag_cache_hits += payload.tag_cache_hits();
+  }
   return fp;
 }
 
 TEST(PerfDeterminismTest, RepeatedRunsAreBitIdentical) {
-  const RunFingerprint a = run_fingerprinted(true, 28, 2);
-  const RunFingerprint b = run_fingerprinted(true, 28, 2);
+  const RunFingerprint a = run_fingerprinted(28, 2);
+  const RunFingerprint b = run_fingerprinted(28, 2);
   EXPECT_EQ(a, b);
   EXPECT_GT(a.events, 0u);
 }
 
-TEST(PerfDeterminismTest, RingOnAndRingOffProduceIdenticalSchedules) {
-  // The tentpole invariant: the now-ring changes only *where* ready
-  // events wait, never the (time, seq) dispatch order — so the full
-  // event trace, final clock, and job metrics are all bit-identical.
-  const RunFingerprint on = run_fingerprinted(true, 28, 2);
-  const RunFingerprint off = run_fingerprinted(false, 28, 2);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, RingOnAndRingOffAgreeAtTwoNodes) {
-  const RunFingerprint on = run_fingerprinted(true, 56, 2);
-  const RunFingerprint off = run_fingerprinted(false, 56, 2);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, CalendarOnAndOffProduceIdenticalSchedules) {
-  // Same invariant for the calendar tier (DESIGN.md §11): bucketed timer
-  // maturation batches *host* work; the (time, seq) dispatch stream must
-  // not move by a single pair when the tier is bypassed entirely.
-  const RunFingerprint on = run_fingerprinted(true, 28, 2);
-  const RunFingerprint off =
-      run_fingerprinted(true, 28, 2, /*profiled=*/false, OffloadMode::kNone,
-                        /*calendar_enabled=*/false);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, CalendarOnAndOffAgreeAtTwoNodes) {
-  const RunFingerprint on = run_fingerprinted(true, 56, 2);
-  const RunFingerprint off =
-      run_fingerprinted(true, 56, 2, /*profiled=*/false, OffloadMode::kNone,
-                        /*calendar_enabled=*/false);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, FramePoolingDoesNotPerturbSchedule) {
-  // Pooling recycles frame storage; it can change host speed only. A run
-  // with the pool bypassed (every frame through the global allocator)
-  // must produce the identical fingerprint.
-  const RunFingerprint pooled = run_fingerprinted(true, 28, 2);
-  const RunFingerprint unpooled =
-      run_fingerprinted(true, 28, 2, /*profiled=*/false, OffloadMode::kNone,
-                        /*calendar_enabled=*/true, /*frame_pooling=*/false);
-  EXPECT_EQ(pooled, unpooled);
+TEST(PerfDeterminismTest, WarmFramePoolRecyclesEveryFrame) {
+  // The pool keeps freed slots for the life of the process, so a run
+  // repeated in the same process is served entirely from the freelists
+  // (a process's first run recycles about 98.6%).
+  run_fingerprinted(28, 2);
+  const uint64_t recycled0 = sim::frames_recycled();
+  const RunFingerprint fp = run_fingerprinted(28, 2);
+  EXPECT_GT(fp.frames, 0u);
+  EXPECT_EQ(sim::frames_recycled() - recycled0, fp.frames);
 }
 
 TEST(PerfDeterminismTest, RegistryPresetsReproduceLegacyIoProfiles) {
@@ -203,34 +180,51 @@ TEST(PerfDeterminismTest, GoldenScheduleFingerprint) {
   // primitives, devices, fabric) fails loudly. If a change to the
   // simulation is *intentional*, re-run this test and update the
   // constants from the failure output.
-  const RunFingerprint fp = run_fingerprinted(true, 28, 2);
+  const RunFingerprint fp = run_fingerprinted(28, 2);
   EXPECT_EQ(fp.hash, kGoldenHash) << "events=" << fp.events
                                   << " final_time=" << fp.final_time;
   EXPECT_EQ(fp.events, kGoldenEvents);
   EXPECT_EQ(fp.final_time, kGoldenFinalTime);
+  // Nearly every dispatch of a real run is a near-future timer, which the
+  // calendar serves; bypassing it sends them all to the heap.
+  EXPECT_GE(100 * fp.calendar_hits, 99 * fp.events)
+      << "calendar_hits=" << fp.calendar_hits;
+  EXPECT_LE(fp.frames, kGoldenFramesLimit);
+  // Adjacent same-seed pattern writes merge into one extent per rank
+  // file and restart reads it back in io_chunk pieces, so the
+  // whole-extent tag cache never engages here: tag reads with zero hits
+  // is the expected shape (hw_test covers the cache itself).
+  EXPECT_GT(fp.tag_reads, 0u);
+  EXPECT_EQ(fp.tag_cache_hits, 0u);
 }
 
 TEST(PerfDeterminismTest, ProfilingDoesNotPerturbSchedule) {
   // Arming the dispatch profiler + epoch analyzer reads host clocks into
   // profiler-private buckets only. The golden fingerprint must not move
-  // by a single (time, seq) pair.
-  const RunFingerprint fp =
-      run_fingerprinted(true, 28, 2, /*profiled=*/true);
+  // by a single (time, seq) pair, and the profile scopes may not await
+  // anything: the profiled run allocates exactly the plain run's frames.
+  const RunFingerprint plain = run_fingerprinted(28, 2);
+  const RunFingerprint fp = run_fingerprinted(28, 2, /*profiled=*/true);
   EXPECT_EQ(fp.hash, kGoldenHash);
   EXPECT_EQ(fp.events, kGoldenEvents);
   EXPECT_EQ(fp.final_time, kGoldenFinalTime);
+  EXPECT_EQ(fp.frames, plain.frames);
 }
 
 TEST(PerfDeterminismTest, DisabledOffloadWrapperKeepsGoldenFingerprint) {
   // Routing I/O through OffloadSystem with no stages granted and no
   // codec must be a pure pass-through: not one (time, seq) pair of the
-  // golden schedule may move.
-  const RunFingerprint fp = run_fingerprinted(
-      true, 28, 2, /*profiled=*/false, OffloadMode::kPassthrough);
+  // golden schedule may move, and each StorageClient call costs exactly
+  // one extra frame (the wrapper's own). Per rank that is 126 calls:
+  // connect, 2 checkpoints x 42 calls and 41 restart calls.
+  const RunFingerprint plain = run_fingerprinted(28, 2);
+  const RunFingerprint fp =
+      run_fingerprinted(28, 2, /*profiled=*/false, OffloadMode::kPassthrough);
   EXPECT_EQ(fp.hash, kGoldenHash) << "events=" << fp.events
                                   << " final_time=" << fp.final_time;
   EXPECT_EQ(fp.events, kGoldenEvents);
   EXPECT_EQ(fp.final_time, kGoldenFinalTime);
+  EXPECT_EQ(fp.frames - plain.frames, 28u * 126u);
 }
 
 // Golden values for the fixed offload-enabled config (all four stages
@@ -244,10 +238,10 @@ TEST(PerfDeterminismTest, OffloadEnabledScheduleIsPinned) {
   // The offload pipeline (negotiation round trips, target compute
   // reservations, compressed wire transfers) is itself deterministic:
   // two runs agree bit-for-bit and match the pinned constants.
-  const RunFingerprint a = run_fingerprinted(
-      true, 28, 2, /*profiled=*/false, OffloadMode::kAllStages);
-  const RunFingerprint b = run_fingerprinted(
-      true, 28, 2, /*profiled=*/false, OffloadMode::kAllStages);
+  const RunFingerprint a =
+      run_fingerprinted(28, 2, /*profiled=*/false, OffloadMode::kAllStages);
+  const RunFingerprint b =
+      run_fingerprinted(28, 2, /*profiled=*/false, OffloadMode::kAllStages);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.hash, kGoldenHash);  // the grant genuinely changes the run
   EXPECT_EQ(a.hash, kOffloadGoldenHash) << "events=" << a.events

@@ -838,6 +838,64 @@ TEST(FaultStormTest, TwoOfEightTargetsDieAndTheRunSurvives) {
 }
 
 // ---------------------------------------------------------------------------
+// Degraded operation: one CoMD job (8 ranks x 2 checkpoints of 4 MiB)
+// through the full resilience stack (retrying device wrapper + health
+// monitor + ResilientSystem), healthy and with 1 of 8 targets dead from
+// t=0, so every IO of its ranks pivots to a partner-domain spare.
+// Simulated time is deterministic, so the times are pinned exactly; a
+// model change re-pins them and says why.
+
+struct DegradedRun {
+  SimDuration total_time = 0;
+  uint64_t failovers = 0;
+};
+
+DegradedRun run_comd_resilient(bool kill_first) {
+  Cluster cluster(make_spec(/*storage_nodes=*/8, /*storage_racks=*/4,
+                            /*compute_nodes=*/8));
+  Scheduler sched(cluster);
+  workloads::ComdParams params;
+  params.nranks = 8;
+  params.procs_per_node = 1;
+  params.atoms_per_rank = 8192;
+  params.bytes_per_atom = 512;  // 4 MiB per rank: IO-dominated job
+  params.io_chunk = 1_MiB;
+  params.checkpoints = 2;
+  params.compute_per_period = 2 * kMillisecond;
+  params.keep_last = 2;
+  auto job = sched.allocate(params.nranks, params.procs_per_node, 128_MiB,
+                            /*num_ssds=*/8);
+  NVMECR_CHECK(job.ok());
+
+  HealthMonitor monitor(cluster.engine(), cluster.topology());
+  RuntimeConfig config;
+  config.fs.io_batch_hugeblocks = 256;
+  config.device_wrapper = resilience::make_retry_wrapper(
+      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42);
+  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
+  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
+  if (kill_first) {
+    const fabric::NodeId victim = job->assignment.ssd_nodes[0];
+    const uint32_t idx = cluster.storage_ssd_index(victim);
+    cluster.storage_ssd(idx).schedule_crash(0);
+    cluster.target(idx).schedule_crash(0);
+    monitor.note_exhausted(victim);  // detection already converged
+  }
+  auto m = workloads::ComdDriver::run(cluster, sys, params);
+  NVMECR_CHECK(m.ok());
+  return {m->total_time, sys.failovers()};
+}
+
+TEST(DegradedModeTest, OneDeadTargetOfEightHasPinnedOverhead) {
+  const DegradedRun healthy = run_comd_resilient(/*kill_first=*/false);
+  const DegradedRun degraded = run_comd_resilient(/*kill_first=*/true);
+  EXPECT_EQ(healthy.failovers, 0u);
+  EXPECT_EQ(degraded.failovers, 2u);
+  EXPECT_EQ(healthy.total_time, 8'688'985);   // 8.69 ms
+  EXPECT_EQ(degraded.total_time, 12'778'675);  // 12.78 ms: 1.471x
+}
+
+// ---------------------------------------------------------------------------
 // Offload interaction: a target dying mid-checkpoint revokes the rank's
 // offload grant — the stages fall back to host-side compute, the
 // degraded manifest records it, and the checkpoint still completes

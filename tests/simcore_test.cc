@@ -477,9 +477,8 @@ namespace {
 
 /// Runs a schedule that interleaves same-time yields with future delays
 /// across several tasks and records every side effect in order.
-std::vector<int> run_interleaved(bool ring_enabled) {
+std::vector<int> run_interleaved() {
   Engine eng;
-  eng.set_now_ring_enabled(ring_enabled);
   std::vector<int> order;
   for (int id = 0; id < 4; ++id) {
     eng.spawn([](Engine& e, std::vector<int>& out, int id) -> Task<void> {
@@ -496,6 +495,18 @@ std::vector<int> run_interleaved(bool ring_enabled) {
   }
   eng.run();
   return order;
+}
+
+/// Yield-heavy churn: 63 of every 64 awaits are same-time yields, the
+/// 64th a 1 ns delay.
+Task<void> churn_task(Engine& e, uint32_t iters) {
+  for (uint32_t i = 0; i < iters; ++i) {
+    if ((i & 63u) == 63u) {
+      co_await e.delay(1);
+    } else {
+      co_await e.yield();
+    }
+  }
 }
 
 }  // namespace
@@ -549,8 +560,14 @@ TEST(TwoTierSchedulerTest, MaturedHeapEntryRunsBeforeNewerRingEntry) {
   EXPECT_EQ(order[2], "sleeper-after-yield");
 }
 
-TEST(TwoTierSchedulerTest, RingDisabledProducesIdenticalSchedule) {
-  EXPECT_EQ(run_interleaved(true), run_interleaved(false));
+TEST(TwoTierSchedulerTest, InterleavedScheduleIsPinned) {
+  // Same-time yields and 5/10 ns delays interleave across four tasks, so
+  // ring entries and matured future entries meet at equal timestamps.
+  // The order is the (time, seq) order, pinned literally.
+  const std::vector<int> expect = {
+      0,   100, 200, 300, 1,   101, 201, 301, 10,  210, 11,  211, 110, 310,
+      20,  220, 111, 311, 21,  221, 99,  299, 120, 320, 121, 321, 199, 399};
+  EXPECT_EQ(run_interleaved(), expect);
 }
 
 TEST(TwoTierSchedulerTest, DispatchCountersTrackRingAndHeap) {
@@ -560,18 +577,18 @@ TEST(TwoTierSchedulerTest, DispatchCountersTrackRingAndHeap) {
     co_await e.delay(5);
   }(eng));
   // Every dispatch is counted; the 10 yields (plus spawn wakeups) hit the
-  // ring, the delay goes through the heap.
+  // ring, the delay goes through the future tiers.
   EXPECT_GT(eng.events_dispatched(), 10u);
   EXPECT_GE(eng.now_ring_hits(), 10u);
   EXPECT_LT(eng.now_ring_hits(), eng.events_dispatched());
 
-  Engine heap_only;
-  heap_only.set_now_ring_enabled(false);
-  heap_only.run_task([](Engine& e) -> Task<void> {
-    for (int i = 0; i < 10; ++i) co_await e.yield();
-  }(heap_only));
-  EXPECT_EQ(heap_only.now_ring_hits(), 0u);
-  EXPECT_GT(heap_only.events_dispatched(), 10u);
+  // Yield-heavy churn: at least 98% of its dispatches must come from the
+  // ring (63 of 64 awaits are yields, plus the spawn wakeups).
+  Engine churn;
+  for (int t = 0; t < 64; ++t) churn.spawn(churn_task(churn, 1024));
+  churn.run();
+  EXPECT_GE(100 * churn.now_ring_hits(), 98 * churn.events_dispatched())
+      << churn.now_ring_hits() << " of " << churn.events_dispatched();
 }
 
 TEST(TwoTierSchedulerTest, RingGrowsPastInitialCapacity) {
@@ -622,21 +639,20 @@ TEST(TwoTierSchedulerTest, DispatchProbeSeesMonotonicTimeSeqOrder) {
 
 namespace {
 
-/// Timer-heavy program spanning many calendar buckets (4096 ns each) and
-/// far past the 2048-bucket window, so it exercises bucket maturation,
-/// in-bucket sorting, late arrivals behind the drain cursor, and window
-/// rotation. Returns the observed completion order.
-std::vector<int> run_calendar_mix(bool calendar_enabled) {
+/// Timer-heavy program spanning several calendar buckets (16,384 ns
+/// each) and far past the 512-bucket window, so it exercises bucket
+/// maturation, in-bucket sorting, late arrivals behind the drain cursor,
+/// and window rotation. Returns the observed completion order.
+std::vector<int> run_calendar_mix() {
   Engine eng;
-  eng.set_calendar_enabled(calendar_enabled);
   std::vector<int> order;
   for (int id = 0; id < 40; ++id) {
     eng.spawn([](Engine& e, std::vector<int>& out, int id) -> Task<void> {
-      // Deterministic per-id delays: some sub-bucket (same 4096 ns
-      // bucket), some a few buckets out, some far beyond the ~8.4 ms
+      // Deterministic per-id delays: some sub-bucket (same 16,384 ns
+      // bucket), some a bucket or two out, some far beyond the ~8.4 ms
       // window so the heap tier and rotation both engage.
       const SimDuration near = 100 + 37 * id;           // sub-bucket
-      const SimDuration mid = 5000 * (1 + id % 7);      // a few buckets
+      const SimDuration mid = 5000 * (1 + id % 7);      // 0-2 buckets out
       const SimDuration far = 20'000'000 + 9999 * id;   // past the window
       co_await e.delay(near);
       co_await e.delay(mid);
@@ -653,11 +669,14 @@ std::vector<int> run_calendar_mix(bool calendar_enabled) {
 
 }  // namespace
 
-TEST(CalendarSchedulerTest, CalendarOnAndOffProduceIdenticalOrder) {
-  const std::vector<int> on = run_calendar_mix(true);
-  const std::vector<int> off = run_calendar_mix(false);
-  ASSERT_EQ(on.size(), 40u);
-  EXPECT_EQ(on, off);
+TEST(CalendarSchedulerTest, CalendarMixOrderIsPinned) {
+  // Completion order of the 40 timer chains (the order of their summed
+  // delays), pinned literally.
+  const std::vector<int> expect = {
+      0,  1,  2,  3,  4,  7,  5,  8,  6,  9,  10, 11, 14, 12,
+      15, 13, 16, 17, 18, 21, 19, 22, 20, 23, 24, 25, 28, 26,
+      29, 27, 30, 31, 32, 35, 33, 36, 34, 37, 38, 39};
+  EXPECT_EQ(run_calendar_mix(), expect);
 }
 
 TEST(CalendarSchedulerTest, CalendarAbsorbsNearTimers) {
@@ -668,15 +687,6 @@ TEST(CalendarSchedulerTest, CalendarAbsorbsNearTimers) {
   }(eng));
   EXPECT_GT(eng.calendar_hits(), 0u);
   EXPECT_LE(eng.calendar_hits(), eng.events_dispatched());
-}
-
-TEST(CalendarSchedulerTest, DisabledCalendarCountsNoHits) {
-  Engine eng;
-  eng.set_calendar_enabled(false);
-  eng.run_task([](Engine& e) -> Task<void> {
-    for (int i = 0; i < 64; ++i) co_await e.delay(1000 + i * 333);
-  }(eng));
-  EXPECT_EQ(eng.calendar_hits(), 0u);
 }
 
 TEST(CalendarSchedulerTest, ProbeOrderHoldsAcrossWindowRotation) {
@@ -723,6 +733,20 @@ Task<void> large_frame_task(Engine& e) {
   NVMECR_CHECK(sum == 48 * 47 / 2);
 }
 
+// Frame above FramePool::kMaxPooledBytes: pad lives across the suspend.
+constexpr std::uint64_t kOversizedPad = 320;
+static_assert(kOversizedPad * sizeof(std::uint64_t) >
+              detail::FramePool::kMaxPooledBytes);
+
+Task<void> oversized_frame_task(Engine& e) {
+  std::uint64_t pad[kOversizedPad] = {};
+  for (std::uint64_t i = 0; i < kOversizedPad; ++i) pad[i] = i;
+  co_await e.delay(3);
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : pad) sum += v;
+  NVMECR_CHECK(sum == kOversizedPad * (kOversizedPad - 1) / 2);
+}
+
 }  // namespace
 
 TEST(FramePoolTest, StressRecyclesFramesAndLeaksNothing) {
@@ -742,16 +766,27 @@ TEST(FramePoolTest, StressRecyclesFramesAndLeaksNothing) {
   EXPECT_EQ(frames_live(), live_before);
 }
 
-TEST(FramePoolTest, PoolingToggleRoutesFreesCorrectly) {
-  // Frames allocated pooled may be freed after pooling is switched off
-  // (and vice versa): the per-frame origin header routes each free.
+TEST(FramePoolTest, OversizedFrameBypassesPool) {
+  // A frame too large for any size class goes to the global allocator.
+  // Freeing it feeds no freelist, so allocating the same frame again
+  // recycles nothing.
   const uint64_t live_before = frames_live();
   Engine eng;
-  for (int i = 0; i < 32; ++i) eng.spawn(small_frame_task(eng));
-  set_frame_pooling(false);
-  for (int i = 0; i < 32; ++i) eng.spawn(large_frame_task(eng));
+  for (int round = 0; round < 2; ++round) {
+    const uint64_t recycled_before = frames_recycled();
+    {
+      Task<void> never_started = oversized_frame_task(eng);
+      EXPECT_EQ(frames_live(), live_before + 1);
+    }
+    EXPECT_EQ(frames_recycled(), recycled_before) << "round " << round;
+  }
+  // Pooled and global frames mix in one run; the origin header routes
+  // each free.
+  for (int i = 0; i < 32; ++i) {
+    eng.spawn(small_frame_task(eng));
+    eng.spawn(oversized_frame_task(eng));
+  }
   eng.run();
-  set_frame_pooling(true);
   EXPECT_EQ(frames_live(), live_before);
 }
 

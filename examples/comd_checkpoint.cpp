@@ -18,7 +18,6 @@
 #include <string>
 
 #include "baselines/models.h"
-#include "metrics/report.h"
 #include "nvmecr/runtime.h"
 #include "obs/run_report.h"
 #include "redundancy/engine.h"
@@ -26,12 +25,6 @@
 
 using namespace nvmecr;
 using namespace nvmecr::literals;
-
-// CSV artifacts land in the build tree (set by examples/CMakeLists.txt),
-// not whatever directory the binary was launched from.
-#ifndef NVMECR_OUTPUT_DIR
-#define NVMECR_OUTPUT_DIR "."
-#endif
 
 namespace {
 
@@ -140,6 +133,10 @@ int main(int argc, char** argv) {
   }
   std::printf("  checkpoint efficiency: %.3f (perceived BW / HW peak)\n",
               metrics->checkpoint_efficiency());
+  std::printf("  checkpoint time:       %.3f s total (makespan efficiency "
+              "%.3f)\n",
+              to_seconds(metrics->checkpoint_time),
+              metrics->checkpoint_efficiency_makespan());
   std::printf("  restart read:          %.3f s (efficiency %.3f)\n",
               to_seconds(metrics->recovery_time),
               metrics->recovery_efficiency());
@@ -158,16 +155,6 @@ int main(int argc, char** argv) {
                     static_cast<double>(payload),
                 static_cast<unsigned long long>(
                     dep->system->degraded_files()));
-  }
-
-  // The metrics module renders the same run as a uniform table + CSV.
-  metrics::ScalingReport summary("comd_checkpoint summary");
-  summary.add("112 ranks / 2 SSDs", *metrics);
-  summary.print_table();
-  const std::string csv_path =
-      std::string(NVMECR_OUTPUT_DIR) + "/comd_checkpoint.csv";
-  if (summary.write_csv(csv_path)) {
-    std::printf("(metrics also written to %s)\n", csv_path.c_str());
   }
 
   if (dep != nullptr) {

@@ -7,8 +7,8 @@
 // set plus end-to-end content verification. Any violation prints the
 // reproducing (seed, boundary, torn) triple and exits nonzero.
 //
-// Run:  ./build/examples/crash_explore --seed 1 --ops 64 \
-//           --torn sampled --min-boundaries 100
+// Run:  ./build/examples/crash_explore --seed 1 --ops 64
+//         --torn sampled --min-boundaries 100
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -217,11 +217,12 @@ int main(int argc, char** argv) {
           : static_cast<baselines::StorageSystem&>(sys);
 
   const SimTime kill_at = cli.at > 0 ? cli.at : 3 * kMillisecond;
+  // 0 = the victims never come back (the outage-window convention).
   const SimTime recover_at =
       cli.recover_at < 0
-          ? fabric::Network::kForever
+          ? 0
           : (cli.recover_at > 0 ? cli.recover_at : kill_at + 57 * kMillisecond);
-  const bool recovers = recover_at != fabric::Network::kForever;
+  const bool recovers = recover_at != 0;
 
   std::vector<fabric::NodeId> victims;
   if (replay) {
@@ -247,9 +248,9 @@ int main(int argc, char** argv) {
       const fabric::NodeId n = job->assignment.ssd_nodes[i];
       victims.push_back(n);
       cluster.storage_ssd(cluster.storage_ssd_index(n))
-          .schedule_crash(kill_at, recovers ? recover_at : 0);
+          .schedule_crash(kill_at, recover_at);
       cluster.target(cluster.storage_ssd_index(n))
-          .schedule_crash(kill_at, recovers ? recover_at : 0);
+          .schedule_crash(kill_at, recover_at);
       std::printf("storm: target node %u dies at %lld ns%s\n", n,
                   static_cast<long long>(kill_at),
                   recovers ? "" : " (forever)");
@@ -265,9 +266,7 @@ int main(int argc, char** argv) {
              : (recovers ? recover_at : kill_at) + 100 * kMillisecond;
   cluster.engine().spawn(monitor.heartbeat(
       [&cluster](fabric::NodeId n, SimTime t) {
-        const uint32_t idx = cluster.storage_ssd_index(n);
-        return cluster.target(idx).alive(t) &&
-               !cluster.storage_ssd(idx).crashed_at(t);
+        return cluster.storage_node_up(n, t);
       },
       horizon));
   cluster.engine().spawn(sys.healer(horizon));

@@ -38,29 +38,29 @@ class DfsClient final : public StorageClient {
       // across clients, no shared-directory critical section.
       const uint32_t ds = system_.dir_server(path);
       DfsServer& dir = *system_.servers_[ds];
-      co_await system_.cluster_.network().transfer(
-          node_, server_node(ds), system_.costs_.rpc_request + 160);
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          node_, server_node(ds), system_.costs_.rpc_request + 160));
       Status ws = co_await append_md_log(ds);
       if (!ws.ok()) co_return Result(ws);
       dir.md_bytes += system_.costs_.md_per_file_bytes;
       ++dir.files;
-      co_await system_.cluster_.network().transfer(
-          server_node(ds), node_, system_.costs_.rpc_response);
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          server_node(ds), node_, system_.costs_.rpc_response));
     } else {
       // Namespace op: RPC to the directory server, serialized under its
       // shared-directory lock (every rank's create lands here — the
       // Figure 8(b) bottleneck).
       const uint32_t ds = system_.dir_server(path);
       DfsServer& dir = *system_.servers_[ds];
-      co_await system_.cluster_.network().transfer(
-          node_, server_node(ds), system_.costs_.rpc_request);
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          node_, server_node(ds), system_.costs_.rpc_request));
       co_await dir.dir_lock.lock();
       co_await eng.delay(system_.costs_.server_md_op);
       dir.md_bytes += system_.costs_.md_per_file_bytes;
       ++dir.files;
       dir.dir_lock.unlock();
-      co_await system_.cluster_.network().transfer(
-          server_node(ds), node_, system_.costs_.rpc_response);
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          server_node(ds), node_, system_.costs_.rpc_response));
     }
 
     // Create the backing object(s) on the data server(s).
@@ -87,13 +87,13 @@ class DfsClient final : public StorageClient {
     // the same metadata service).
     const uint32_t ds = system_.dir_server(path);
     DfsServer& dir = *system_.servers_[ds];
-    co_await system_.cluster_.network().transfer(
-        node_, server_node(ds), system_.costs_.rpc_request);
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+        node_, server_node(ds), system_.costs_.rpc_request));
     co_await dir.dir_lock.lock();
     co_await eng.delay(system_.costs_.server_md_op / 2);  // lookup is lighter
     dir.dir_lock.unlock();
-    co_await system_.cluster_.network().transfer(
-        server_node(ds), node_, system_.costs_.rpc_response);
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+        server_node(ds), node_, system_.costs_.rpc_response));
 
     const std::vector<uint32_t> data = system_.data_servers(path);
     std::vector<int> server_fds(system_.servers_.size(), -1);
@@ -131,15 +131,15 @@ class DfsClient final : public StorageClient {
       if (share == 0) continue;
       const uint32_t s = of.servers[i];
       const uint64_t stripes_s = ceil_div(share, unit);
-      co_await system_.cluster_.network().transfer(
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
           node_, server_node(s),
-          system_.costs_.rpc_request * stripes_s + share);
+          system_.costs_.rpc_request * stripes_s + share));
       Status st =
           co_await system_.servers_[s]->fs.write(of.server_fds[s], share);
       if (!st.ok()) co_return st;
       system_.servers_[s]->data_bytes += share;
-      co_await system_.cluster_.network().transfer(
-          server_node(s), node_, system_.costs_.rpc_response * stripes_s);
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          server_node(s), node_, system_.costs_.rpc_response * stripes_s));
     }
     of.write_off += len;
     co_return OkStatus();
@@ -162,14 +162,14 @@ class DfsClient final : public StorageClient {
       if (share == 0) continue;
       const uint32_t s = of.servers[i];
       const uint64_t stripes_s = ceil_div(share, unit);
-      co_await system_.cluster_.network().transfer(
-          node_, server_node(s), system_.costs_.rpc_request * stripes_s);
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          node_, server_node(s), system_.costs_.rpc_request * stripes_s));
       Status st =
           co_await system_.servers_[s]->fs.read(of.server_fds[s], share);
       if (!st.ok()) co_return st;
-      co_await system_.cluster_.network().transfer(
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
           server_node(s), node_,
-          system_.costs_.rpc_response * stripes_s + share);
+          system_.costs_.rpc_response * stripes_s + share));
     }
     of.read_off += len;
     co_return OkStatus();
@@ -181,9 +181,10 @@ class DfsClient final : public StorageClient {
     OpenFile& of = it->second;
     co_await system_.cluster_.engine().delay(system_.costs_.client_per_op);
     for (uint32_t s : of.servers) {
-      co_await system_.cluster_.network().rpc(
-          node_, server_node(s), system_.costs_.rpc_request,
-          system_.costs_.rpc_response);
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          node_, server_node(s), system_.costs_.rpc_request));
+      NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+          server_node(s), node_, system_.costs_.rpc_response));
       Status st = co_await system_.servers_[s]->fs.fsync(of.server_fds[s]);
       if (!st.ok()) co_return st;
     }
@@ -207,8 +208,8 @@ class DfsClient final : public StorageClient {
     co_await eng.delay(system_.costs_.client_per_op);
     const uint32_t ds = system_.dir_server(path);
     DfsServer& dir = *system_.servers_[ds];
-    co_await system_.cluster_.network().transfer(
-        node_, server_node(ds), system_.costs_.rpc_request);
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+        node_, server_node(ds), system_.costs_.rpc_request));
     co_await dir.dir_lock.lock();
     co_await eng.delay(system_.costs_.server_md_op);
     if (dir.md_bytes >= system_.costs_.md_per_file_bytes) {
@@ -216,8 +217,8 @@ class DfsClient final : public StorageClient {
     }
     if (dir.files > 0) --dir.files;
     dir.dir_lock.unlock();
-    co_await system_.cluster_.network().transfer(
-        server_node(ds), node_, system_.costs_.rpc_response);
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+        server_node(ds), node_, system_.costs_.rpc_response));
     for (uint32_t s : system_.data_servers(path)) {
       Status st = co_await system_.servers_[s]->fs.unlink(object_name(path));
       if (!st.ok() && st.code() != ErrorCode::kNotFound) co_return st;

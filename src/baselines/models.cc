@@ -19,14 +19,14 @@ class CrailClient final : public StorageClient {
 
   sim::Task<StatusOr<int>> create(const std::string& path) override {
     // Namenode round trip for the create.
-    co_await system_.metadata_rpc(node_);
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.metadata_rpc(node_));
     const int fd = next_fd_++;
     files_[fd] = File{path, 0, 0, mix64(fnv1a(path.data(), path.size()))};
     co_return StatusOr<int>(fd);
   }
 
   sim::Task<StatusOr<int>> open_read(const std::string& path) override {
-    co_await system_.metadata_rpc(node_);
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.metadata_rpc(node_));
     const int fd = next_fd_++;
     files_[fd] = File{path, 0, 0, mix64(fnv1a(path.data(), path.size()))};
     co_return StatusOr<int>(fd);
@@ -43,7 +43,7 @@ class CrailClient final : public StorageClient {
           (it->second.write_off + pos) % system_.alloc_group_;
       const uint64_t piece = std::min(len - pos, in_group);
       if ((it->second.write_off + pos) % system_.alloc_group_ == 0) {
-        co_await system_.metadata_rpc(node_);
+        NVMECR_CO_RETURN_IF_ERROR(co_await system_.metadata_rpc(node_));
       }
       const uint64_t dev_off =
           (base_ + (it->second.write_off + pos) % length_) /
@@ -66,7 +66,8 @@ class CrailClient final : public StorageClient {
   sim::Task<Status> read(int fd, uint64_t len) override {
     auto it = files_.find(fd);
     if (it == files_.end()) co_return BadFdError();
-    co_await system_.metadata_rpc(node_);  // block lookup
+    // Block lookup.
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.metadata_rpc(node_));
     const uint64_t aligned = round_up(len, dev_->hw_block_size());
     const uint64_t dev_off =
         (base_ + it->second.read_off % length_) / dev_->hw_block_size() *
@@ -87,14 +88,12 @@ class CrailClient final : public StorageClient {
 
   sim::Task<Status> close(int fd) override {
     if (files_.erase(fd) == 0) co_return BadFdError();
-    co_await system_.metadata_rpc(node_);  // close updates file size
-    co_return OkStatus();
+    co_return co_await system_.metadata_rpc(node_);  // updates file size
   }
 
   sim::Task<Status> unlink(const std::string& path) override {
     (void)path;
-    co_await system_.metadata_rpc(node_);
-    co_return OkStatus();
+    co_return co_await system_.metadata_rpc(node_);
   }
 
  private:
@@ -136,13 +135,14 @@ CrailModel::~CrailModel() {
   (void)cluster_.storage_ssd(0).delete_namespace(nsid_);
 }
 
-sim::Task<void> CrailModel::metadata_rpc(fabric::NodeId client) {
-  co_await cluster_.network().transfer(client, md_node_, 128);
+sim::Task<Status> CrailModel::metadata_rpc(fabric::NodeId client) {
+  NVMECR_CO_RETURN_IF_ERROR(
+      co_await cluster_.network().transfer(client, md_node_, 128));
   co_await md_lock_.lock();  // single-threaded namenode
   co_await cluster_.engine().delay(md_service_);
   md_bytes_ += 256;
   md_lock_.unlock();
-  co_await cluster_.network().transfer(md_node_, client, 96);
+  co_return co_await cluster_.network().transfer(md_node_, client, 96);
 }
 
 sim::Task<StatusOr<std::unique_ptr<StorageClient>>> CrailModel::connect(
@@ -174,20 +174,22 @@ class LustreClient final : public StorageClient {
 
   sim::Task<StatusOr<int>> create(const std::string& path) override {
     co_await syscall_enter();
-    co_await mds_op(system_.mds_service_);
+    Status s = co_await mds_op(system_.mds_service_);
+    syscall_exit();
+    if (!s.ok()) co_return StatusOr<int>(s);
     system_.md_bytes_ += 4_KiB;
     const int fd = next_fd_++;
     files_[fd] = File{path, 0, 0};
-    syscall_exit();
     co_return StatusOr<int>(fd);
   }
 
   sim::Task<StatusOr<int>> open_read(const std::string& path) override {
     co_await syscall_enter();
-    co_await mds_op(system_.mds_service_ / 2);
+    Status s = co_await mds_op(system_.mds_service_ / 2);
+    syscall_exit();
+    if (!s.ok()) co_return StatusOr<int>(s);
     const int fd = next_fd_++;
     files_[fd] = File{path, 0, 0};
-    syscall_exit();
     co_return StatusOr<int>(fd);
   }
 
@@ -197,6 +199,7 @@ class LustreClient final : public StorageClient {
     co_await syscall_enter();
     // 1 MiB stripes round-robin across the OSS RAID pipes; the client
     // pays the kernel block path per RPC.
+    Status s;
     uint64_t pos = 0;
     while (pos < len) {
       const uint64_t piece = std::min<uint64_t>(1_MiB, len - pos);
@@ -204,22 +207,26 @@ class LustreClient final : public StorageClient {
           ((it->second.write_off + pos) / 1_MiB) % system_.oss_pipes_.size());
       co_await system_.cluster_.engine().delay(
           system_.kcosts_.block_layer_per_req);
-      co_await system_.cluster_.network().transfer(
+      s = co_await system_.cluster_.network().transfer(
           node_, oss_node(oss), piece + 256);
+      if (!s.ok()) break;
       co_await system_.oss_pipes_[oss]->transfer(piece);
       system_.oss_bytes_[oss] += piece;
-      co_await system_.cluster_.network().transfer(oss_node(oss), node_, 128);
+      s = co_await system_.cluster_.network().transfer(oss_node(oss), node_,
+                                                       128);
+      if (!s.ok()) break;
       pos += piece;
     }
-    it->second.write_off += len;
+    if (s.ok()) it->second.write_off += len;
     syscall_exit();
-    co_return OkStatus();
+    co_return s;
   }
 
   sim::Task<Status> read(int fd, uint64_t len) override {
     auto it = files_.find(fd);
     if (it == files_.end()) co_return BadFdError();
     co_await syscall_enter();
+    Status s;
     uint64_t pos = 0;
     while (pos < len) {
       const uint64_t piece = std::min<uint64_t>(1_MiB, len - pos);
@@ -227,40 +234,43 @@ class LustreClient final : public StorageClient {
           ((it->second.read_off + pos) / 1_MiB) % system_.oss_pipes_.size());
       co_await system_.cluster_.engine().delay(
           system_.kcosts_.block_layer_per_req);
-      co_await system_.cluster_.network().transfer(node_, oss_node(oss), 256);
+      s = co_await system_.cluster_.network().transfer(node_, oss_node(oss),
+                                                       256);
+      if (!s.ok()) break;
       co_await system_.oss_pipes_[oss]->transfer(piece);
-      co_await system_.cluster_.network().transfer(oss_node(oss), node_,
-                                                   piece + 128);
+      s = co_await system_.cluster_.network().transfer(oss_node(oss), node_,
+                                                       piece + 128);
+      if (!s.ok()) break;
       pos += piece;
     }
-    it->second.read_off += len;
+    if (s.ok()) it->second.read_off += len;
     syscall_exit();
-    co_return OkStatus();
+    co_return s;
   }
 
   sim::Task<Status> fsync(int fd) override {
     if (files_.find(fd) == files_.end()) co_return BadFdError();
     co_await syscall_enter();
-    co_await mds_op(system_.mds_service_ / 4);
+    Status s = co_await mds_op(system_.mds_service_ / 4);
     syscall_exit();
-    co_return OkStatus();
+    co_return s;
   }
 
   sim::Task<Status> close(int fd) override {
     if (files_.erase(fd) == 0) co_return BadFdError();
     co_await syscall_enter();
-    co_await mds_op(system_.mds_service_ / 4);
+    Status s = co_await mds_op(system_.mds_service_ / 4);
     syscall_exit();
-    co_return OkStatus();
+    co_return s;
   }
 
   sim::Task<Status> unlink(const std::string& path) override {
     (void)path;
     co_await syscall_enter();
-    co_await mds_op(system_.mds_service_);
-    if (system_.md_bytes_ >= 4_KiB) system_.md_bytes_ -= 4_KiB;
+    Status s = co_await mds_op(system_.mds_service_);
+    if (s.ok() && system_.md_bytes_ >= 4_KiB) system_.md_bytes_ -= 4_KiB;
     syscall_exit();
-    co_return OkStatus();
+    co_return s;
   }
 
  private:
@@ -286,14 +296,14 @@ class LustreClient final : public StorageClient {
         system_.cluster_.engine().now() - syscall_start_;
   }
 
-  sim::Task<void> mds_op(SimDuration service) {
-    co_await system_.cluster_.network().transfer(node_, system_.mds_node_,
-                                                 256);
+  sim::Task<Status> mds_op(SimDuration service) {
+    NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
+        node_, system_.mds_node_, 256));
     co_await system_.mds_lock_.lock();
     co_await system_.cluster_.engine().delay(service);
     system_.mds_lock_.unlock();
-    co_await system_.cluster_.network().transfer(system_.mds_node_, node_,
-                                                 128);
+    co_return co_await system_.cluster_.network().transfer(system_.mds_node_,
+                                                           node_, 128);
   }
 
   LustreModel& system_;

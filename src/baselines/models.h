@@ -182,7 +182,7 @@ class CrailModel final : public StorageSystem {
   friend class CrailClient;
 
   /// Single-threaded metadata server: FIFO service, fixed cost per op.
-  sim::Task<void> metadata_rpc(fabric::NodeId client);
+  sim::Task<Status> metadata_rpc(fabric::NodeId client);
 
   Cluster& cluster_;
   uint32_t nranks_;

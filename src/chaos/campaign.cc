@@ -151,9 +151,7 @@ struct ChaosStack {
   void spawn_daemons(SimTime horizon) {
     cluster.engine().spawn(monitor->heartbeat(
         [this](fabric::NodeId n, SimTime t) {
-          const uint32_t idx = cluster.storage_ssd_index(n);
-          return cluster.target(idx).alive(t) &&
-                 !cluster.storage_ssd(idx).crashed_at(t);
+          return cluster.storage_node_up(n, t);
         },
         horizon));
     cluster.engine().spawn(sys->healer(horizon));

@@ -36,8 +36,7 @@ InjectionStats apply_schedule(nvmecr_rt::Cluster& cluster,
       case FaultKind::kLinkDown: {
         const fabric::NodeId node =
             cluster.storage_nodes()[e.victim % nodes];
-        cluster.network().add_link_down(
-            node, e.at, e.until == 0 ? fabric::Network::kForever : e.until);
+        cluster.network().add_link_down(node, e.at, e.until);
         ++stats.link_downs;
         break;
       }
@@ -55,9 +54,7 @@ InjectionStats apply_schedule(nvmecr_rt::Cluster& cluster,
         for (fabric::NodeId n : cluster.storage_nodes()) {
           if (cluster.topology().rack_of(n) == rack) members.push_back(n);
         }
-        cluster.network().partition(
-            members, e.at,
-            e.until == 0 ? fabric::Network::kForever : e.until);
+        cluster.network().partition(members, e.at, e.until);
         ++stats.partitions;
         break;
       }

@@ -7,21 +7,20 @@
 // blocking switch fabric itself is not a bottleneck (EDR fat trees are
 // provisioned that way), so only NICs limit bandwidth.
 //
-// rpc() models a request/response exchange (metadata server models,
-// NVMf command+completion).
+// A node's link can be declared down for outage windows; a transfer
+// touching a downed link fails with a transport timeout.
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
 #include "fabric/topology.h"
 #include "obs/observer.h"
 #include "simcore/engine.h"
+#include "simcore/outages.h"
 #include "simcore/resource.h"
 
 namespace nvmecr::fabric {
@@ -67,52 +66,46 @@ class Network {
                params_.per_hop_latency;
   }
 
-  /// Sentinel "window never closes" end time for link faults.
-  static constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
-
-  /// Declares `node`'s link down for sim-time [from, until). Windows are
-  /// part of the deterministic fault schedule: arm them before (or
-  /// during) the run and every transfer touching the node inside the
-  /// window fails with a transport timeout.
-  void add_link_down(NodeId node, SimTime from, SimTime until = kForever) {
-    nics_[node].down_windows.push_back({from, until});
+  /// Declares `node`'s link down for sim-time [from, until); until == 0
+  /// (the default) means it never comes back. Windows are part of the
+  /// deterministic fault schedule: arm them before (or during) the run
+  /// and every transfer touching the node inside the window fails with
+  /// a transport timeout.
+  void add_link_down(NodeId node, SimTime from, SimTime until = 0) {
+    nics_[node].down.add(from, until);
   }
 
-  /// Partitions a set of nodes off the fabric from `from` (until `until`,
-  /// default forever). Convenience over per-node add_link_down.
+  /// Partitions a set of nodes off the fabric for [from, until) (0 =
+  /// forever). Convenience over per-node add_link_down.
   void partition(const std::vector<NodeId>& nodes, SimTime from,
-                 SimTime until = kForever) {
+                 SimTime until = 0) {
     for (NodeId n : nodes) add_link_down(n, from, until);
   }
 
   /// True when `node`'s link is up at time `t`.
   bool link_up(NodeId node, SimTime t) const {
-    for (const auto& w : nics_[node].down_windows) {
-      if (t >= w.from && t < w.until) return false;
-    }
-    return true;
+    return !nics_[node].down.active(t);
   }
 
-  /// Fallible transfer: if either endpoint's link is down at submission,
-  /// or goes down before the last byte lands (completion ack lost), the
-  /// initiator burns the transport timeout and gets kTimedOut. Loopback
-  /// never fails (no wire).
-  sim::Task<Status> try_transfer(NodeId src, NodeId dst, uint64_t bytes) {
+  /// Moves `bytes` from `src` to `dst`; completes when the last byte has
+  /// arrived. Same-node transfers are free (shared memory, no wire, never
+  /// fail). If either endpoint's link is down at submission, or goes down
+  /// before the last byte lands (completion ack lost), the initiator burns
+  /// the transport timeout and gets kTimedOut.
+  sim::Task<Status> transfer(NodeId src, NodeId dst, uint64_t bytes) {
     if (src == dst) co_return OkStatus();
     if (!link_up(src, engine_.now()) || !link_up(dst, engine_.now())) {
       co_await engine_.delay(params_.transport_timeout);
       co_return TimedOutError("link down: node " + std::to_string(src) +
                               " -> node " + std::to_string(dst));
     }
-    // The move itself is inlined from transfer() rather than awaited as a
-    // sub-task: this is the NVMf capsule/completion hot path (two
-    // try_transfers per IO), and the extra frame per call was measurable.
-    // The pacing loop must stay chunk-by-chunk — the reservation
-    // interleaving among concurrent flows is part of the model.
     if (bytes > 0) {
       Nic& s = nics_[src];
       Nic& d = nics_[dst];
-      account_transfer(s, d, bytes);
+      total_bytes_sent_ += bytes;
+      total_bytes_received_ += bytes;
+      if (s.tx_bytes != nullptr) s.tx_bytes->add(bytes);
+      if (d.rx_bytes != nullptr) d.rx_bytes->add(bytes);
       const uint64_t chunk = params_.fair_chunk;
       SimTime arrive = engine_.now();
       uint64_t left = bytes;
@@ -121,12 +114,16 @@ class Network {
         const SimTime tx_done = s.tx.reserve(piece);
         arrive = d.rx.reserve_after(tx_done, piece);
         left -= piece;
+        // Pace on the tx pipe (suspending per chunk lets concurrent flows
+        // interleave their reservations — fair sharing, part of the
+        // model); the rx side pipelines: chunk k is received while chunk
+        // k+1 transmits.
         if (left > 0) co_await engine_.sleep_until(tx_done);
       }
       if (s.tx_backlog != nullptr) {
         s.tx_backlog->set(engine_.now(), static_cast<double>(s.tx.backlog()));
       }
-      // Last-byte arrival and wire latency folded into one wakeup.
+      // Last-byte arrival and wire latency are one wakeup, not two.
       co_await engine_.sleep_until(arrive + latency(src, dst));
     } else {
       co_await engine_.delay(latency(src, dst));
@@ -139,48 +136,6 @@ class Network {
                               std::to_string(dst));
     }
     co_return OkStatus();
-  }
-
-  /// Moves `bytes` from `src` to `dst`; completes when the last byte has
-  /// arrived. Same-node transfers are free (shared memory).
-  sim::Task<void> transfer(NodeId src, NodeId dst, uint64_t bytes) {
-    if (src == dst || bytes == 0) {
-      if (bytes == 0 && src != dst) co_await engine_.delay(latency(src, dst));
-      co_return;
-    }
-    Nic& s = nics_[src];
-    Nic& d = nics_[dst];
-    account_transfer(s, d, bytes);
-    const uint64_t chunk = params_.fair_chunk;
-    SimTime arrive = engine_.now();
-    uint64_t left = bytes;
-    while (left > 0) {
-      const uint64_t piece = left < chunk ? left : chunk;
-      const SimTime tx_done = s.tx.reserve(piece);
-      arrive = d.rx.reserve_after(tx_done, piece);
-      left -= piece;
-      // Pace on the tx pipe (suspending per chunk lets concurrent flows
-      // interleave their reservations — fair sharing); the rx side
-      // pipelines: chunk k is received while chunk k+1 transmits.
-      if (left > 0) co_await engine_.sleep_until(tx_done);
-    }
-    if (s.tx_backlog != nullptr) {
-      s.tx_backlog->set(engine_.now(), static_cast<double>(s.tx.backlog()));
-    }
-    // Last-byte arrival and wire latency are one wakeup, not two: the
-    // completion sleep already knows the latency, so batching them
-    // halves this path's event count.
-    co_await engine_.sleep_until(arrive + latency(src, dst));
-  }
-
-  /// Request/response exchange; completes at the requester when the
-  /// response has fully arrived. Server-side processing time is the
-  /// callee's business (co_await between the halves if needed) — this
-  /// convenience assumes zero server time.
-  sim::Task<void> rpc(NodeId client, NodeId server, uint64_t request_bytes,
-                      uint64_t response_bytes) {
-    co_await transfer(client, server, request_bytes);
-    co_await transfer(server, client, response_bytes);
   }
 
   /// Bytes a NIC has currently queued for transmit, as drain time.
@@ -213,22 +168,6 @@ class Network {
   }
 
  private:
-  struct DownWindow {
-    SimTime from;
-    SimTime until;
-  };
-
-  struct Nic;
-
-  /// Byte accounting shared by transfer() and the inlined try_transfer
-  /// path (counted unconditionally, observer or not).
-  void account_transfer(Nic& s, Nic& d, uint64_t bytes) {
-    total_bytes_sent_ += bytes;
-    total_bytes_received_ += bytes;
-    if (s.tx_bytes != nullptr) s.tx_bytes->add(bytes);
-    if (d.rx_bytes != nullptr) d.rx_bytes->add(bytes);
-  }
-
   struct Nic {
     sim::BandwidthResource tx;
     sim::BandwidthResource rx;
@@ -236,8 +175,8 @@ class Network {
     obs::Counter* tx_bytes = nullptr;
     obs::Counter* rx_bytes = nullptr;
     obs::Gauge* tx_backlog = nullptr;
-    // Scheduled link-fault windows (empty on the fault-free fast path).
-    std::vector<DownWindow> down_windows = {};
+    // Scheduled link-down windows.
+    sim::Outages down = {};
   };
 
   sim::Engine& engine_;

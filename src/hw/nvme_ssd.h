@@ -30,6 +30,7 @@
 #include "hw/ssd_spec.h"
 #include "obs/observer.h"
 #include "simcore/engine.h"
+#include "simcore/outages.h"
 #include "simcore/resource.h"
 
 namespace nvmecr::hw {
@@ -96,28 +97,24 @@ class NvmeSsd {
   /// Repeated calls accumulate independent crash windows (failure
   /// schedules arm many transient outages on one device).
   void schedule_crash(SimTime at, SimTime recover_at = 0) {
-    crash_windows_.push_back({at, recover_at});
+    crashes_.add(at, recover_at);
   }
   /// True when the device is crashed (unresponsive) at time `t`. Health
   /// probes use this as the management-plane liveness check.
-  bool crashed_at(SimTime t) const {
-    for (const auto& w : crash_windows_) {
-      if (t >= w.at && (w.recover_at == 0 || t < w.recover_at)) return true;
-    }
-    return false;
-  }
+  bool crashed_at(SimTime t) const { return crashes_.active(t); }
   /// Inflates device service time by `factor` for commands submitted in
-  /// [from, until): a straggler (GC pause, thermal throttle), NOT a
-  /// failure — completions still arrive and must not trip the detector.
-  /// Windows accumulate; overlapping windows take the largest factor.
+  /// [from, until) (until == 0: never ends): a straggler (GC pause,
+  /// thermal throttle), NOT a failure — completions still arrive and
+  /// must not trip the detector. Windows accumulate; overlapping windows
+  /// take the largest factor.
   void set_straggler(double factor, SimTime from, SimTime until) {
-    straggler_windows_.push_back({factor, from, until});
+    stragglers_.push_back({factor, {from, until}});
   }
   /// Service-time inflation in effect at time `t` (1.0 = none).
   double straggler_factor_at(SimTime t) const {
     double f = 1.0;
-    for (const auto& w : straggler_windows_) {
-      if (w.factor > f && t >= w.from && t < w.until) f = w.factor;
+    for (const Straggler& w : stragglers_) {
+      if (w.factor > f && w.window.contains(t)) f = w.factor;
     }
     return f;
   }
@@ -172,17 +169,12 @@ class NvmeSsd {
   uint32_t inject_errors_ = 0;
   uint32_t inject_after_ = 0;
   bool device_failed_ = false;
-  struct CrashWindow {
-    SimTime at = 0;
-    SimTime recover_at = 0;  // 0 = crashed forever
-  };
-  std::vector<CrashWindow> crash_windows_;
-  struct StragglerWindow {
+  sim::Outages crashes_;
+  struct Straggler {
     double factor = 1.0;
-    SimTime from = 0;
-    SimTime until = 0;
+    sim::Window window;
   };
-  std::vector<StragglerWindow> straggler_windows_;
+  std::vector<Straggler> stragglers_;
   /// Time a crashed device makes the initiator wait before the timeout
   /// error is reported (models the host-side IO timeout).
   SimDuration io_timeout_ = 500'000;  // 500 us

@@ -971,10 +971,7 @@ sim::Task<Status> MicroFs::checkpoint_state() {
 }
 
 void MicroFs::maybe_spawn_checkpoint() {
-  if (!options_.auto_checkpoint || !options_.metadata_provenance ||
-      checkpoint_in_flight_) {
-    return;
-  }
+  if (!options_.metadata_provenance || checkpoint_in_flight_) return;
   if (!open_files_.empty()) return;
   const double free_frac = static_cast<double>(log_->free_slots()) /
                            static_cast<double>(log_->capacity());

@@ -68,9 +68,9 @@ struct Options {
 
   /// Auto state-checkpoint trigger: when no files are open and free log
   /// slots drop below this fraction of capacity, a background checkpoint
-  /// starts (§III-E "Metadata Provenance", background thread).
+  /// starts (§III-E "Metadata Provenance", background thread). 0 never
+  /// triggers.
   double checkpoint_free_threshold = 0.25;
-  bool auto_checkpoint = true;
 
   /// Bytes reserved for EACH of the two internal-state checkpoint
   /// regions; 0 = sized automatically from the partition geometry.

@@ -71,6 +71,14 @@ class Cluster {
   nvmf::NvmfTarget& target(uint32_t index) { return *targets_[index]; }
   uint32_t storage_ssd_index(fabric::NodeId node) const;
 
+  /// Liveness of storage node `node` at time `t`: its NVMf target daemon
+  /// is alive and its SSD is not crashed. Heartbeat probes use it as the
+  /// management-plane liveness check.
+  bool storage_node_up(fabric::NodeId node, SimTime t) const {
+    const uint32_t idx = storage_ssd_index(node);
+    return targets_[idx]->alive(t) && !storage_ssds_[idx]->crashed_at(t);
+  }
+
   /// Local SSD of a compute node (requires spec.local_ssds).
   hw::NvmeSsd& local_ssd(fabric::NodeId node);
 

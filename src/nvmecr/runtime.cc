@@ -211,12 +211,14 @@ class NvmecrClient final : public baselines::StorageClient {
     NvmecrSystem::GlobalNamespace& ns = *system_.global_ns_;
     const fabric::NodeId my_node =
         system_.job_.rank_nodes[static_cast<uint32_t>(rank_)];
-    co_await system_.cluster_.network().rpc(my_node, ns.home, 128, 64);
+    fabric::Network& net = system_.cluster_.network();
+    NVMECR_CO_RETURN_IF_ERROR(co_await net.transfer(my_node, ns.home, 128));
+    NVMECR_CO_RETURN_IF_ERROR(co_await net.transfer(ns.home, my_node, 64));
     co_await ns.lock.lock();
     co_await system_.cluster_.engine().delay(ns.op_cost);
     ns.lock.unlock();
-    co_await system_.cluster_.network().rpc(my_node, ns.home, 64, 64);
-    co_return OkStatus();
+    NVMECR_CO_RETURN_IF_ERROR(co_await net.transfer(my_node, ns.home, 64));
+    co_return co_await net.transfer(ns.home, my_node, 64);
   }
 
   SimTime op_now() const { return system_.cluster_.engine().now(); }

@@ -78,7 +78,7 @@ class RemoteDevice final : public hw::BlockDevice {
                                    std::to_string(target_.node()) + " down");
       }
       const SimTime xfer0 = eng.now();
-      Status rq = co_await target_.network().try_transfer(
+      Status rq = co_await target_.network().transfer(
           client_, target_.node(), req_bytes);
       if (obs.epoch != nullptr) {
         obs.epoch->record(eng, EpochProfiler::Phase::kFabric,
@@ -123,8 +123,8 @@ class RemoteDevice final : public hw::BlockDevice {
                               " died before completing");
       } else {
         const SimTime xfer0 = eng.now();
-        rs = co_await target_.network().try_transfer(target_.node(), client_,
-                                                     resp_bytes);
+        rs = co_await target_.network().transfer(target_.node(), client_,
+                                                 resp_bytes);
         if (obs.epoch != nullptr) {
           obs.epoch->record(eng, EpochProfiler::Phase::kFabric,
                             eng.now() - xfer0);
@@ -182,7 +182,7 @@ sim::Task<StatusOr<uint32_t>> NvmfTarget::negotiate_offload(
                                " down (offload negotiation)");
   }
   Status s =
-      co_await network_.try_transfer(client_node, node_, params_.command_bytes);
+      co_await network_.transfer(client_node, node_, params_.command_bytes);
   if (!s.ok()) co_return s;
   co_await engine_.sleep_until(reserve_poll_group(engine_.now()));
   if (!alive(engine_.now())) {
@@ -190,8 +190,7 @@ sim::Task<StatusOr<uint32_t>> NvmfTarget::negotiate_offload(
     co_return UnreachableError("nvmf target on node " + std::to_string(node_) +
                                " died negotiating offload");
   }
-  s = co_await network_.try_transfer(node_, client_node,
-                                     params_.completion_bytes);
+  s = co_await network_.transfer(node_, client_node, params_.completion_bytes);
   if (!s.ok()) co_return s;
   co_return requested & params_.offload_caps;
 }

@@ -24,6 +24,7 @@
 #include "hw/block_device.h"
 #include "hw/nvme_ssd.h"
 #include "obs/observer.h"
+#include "simcore/outages.h"
 #include "simcore/resource.h"
 #include "simcore/trace.h"
 
@@ -146,16 +147,11 @@ class NvmfTarget {
   /// accumulate independent crash windows (failure schedules arm many
   /// transient outages on one daemon).
   void schedule_crash(SimTime at, SimTime recover_at = 0) {
-    crash_windows_.push_back({at, recover_at});
+    crashes_.add(at, recover_at);
   }
   /// True when the target daemon is responsive at time `t` (the
   /// management-plane liveness check heartbeat probes use).
-  bool alive(SimTime t) const {
-    for (const auto& w : crash_windows_) {
-      if (t >= w.at && (w.recover_at == 0 || t < w.recover_at)) return false;
-    }
-    return true;
-  }
+  bool alive(SimTime t) const { return !crashes_.active(t); }
 
  private:
   sim::Engine& engine_;
@@ -174,11 +170,7 @@ class NvmfTarget {
   /// (queue id, connections using it); shared once the budget runs out.
   std::vector<std::pair<uint32_t, uint32_t>> queue_refs_;
   uint32_t next_shared_ = 0;
-  struct CrashWindow {
-    SimTime at = 0;
-    SimTime recover_at = 0;  // 0 = crashed forever
-  };
-  std::vector<CrashWindow> crash_windows_;
+  sim::Outages crashes_;
 
   // Observability (null/empty when detached).
   obs::Observer obs_;

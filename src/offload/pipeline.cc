@@ -106,7 +106,7 @@ sim::Task<Status> OffloadClient::target_round_trip(uint64_t payload) {
     co_return UnreachableError("offload target dead");
   }
   const fabric::NodeId me = sys_.client_node(rank_);
-  NVMECR_CO_RETURN_IF_ERROR(co_await sys_.cluster_.network().try_transfer(
+  NVMECR_CO_RETURN_IF_ERROR(co_await sys_.cluster_.network().transfer(
       me, tgt.node(), p.command_bytes));
   sim::ProfileTagScope tag(eng, tgt.offload_tag());
   co_await eng.sleep_until(tgt.reserve_poll_group(eng.now()));
@@ -117,7 +117,7 @@ sim::Task<Status> OffloadClient::target_round_trip(uint64_t payload) {
   if (!tgt.alive(eng.now())) {
     co_return UnreachableError("offload target dead");
   }
-  co_return co_await sys_.cluster_.network().try_transfer(
+  co_return co_await sys_.cluster_.network().transfer(
       tgt.node(), me, p.completion_bytes + payload);
 }
 
@@ -248,7 +248,7 @@ sim::Task<Status> OffloadClient::read(int fd, uint64_t len) {
     // CPU and the target pays the decode on its offload cores.
     nvmf::NvmfTarget& tgt = sys_.target_of(rank_);
     if (len > wire) {
-      NVMECR_CO_RETURN_IF_ERROR(co_await sys_.cluster_.network().try_transfer(
+      NVMECR_CO_RETURN_IF_ERROR(co_await sys_.cluster_.network().transfer(
           tgt.node(), sys_.client_node(rank_), len - wire));
     }
     sim::ProfileTagScope tag(eng, tgt.offload_tag());

@@ -209,7 +209,7 @@ sim::Task<void> RedundantSystem::encode_parity(uint32_t rank, std::string path,
     }
     for (uint32_t i = 0; i < members.size(); ++i) {
       if (i == my) continue;
-      Status ts = co_await cluster_.network().try_transfer(
+      Status ts = co_await cluster_.network().transfer(
           plan_.primary_node_of_rank[members[i]], parity_node,
           t_words * sizeof(uint64_t));
       if (!ts.ok()) {

@@ -13,6 +13,10 @@ namespace nvmecr::workloads {
 
 namespace {
 
+/// Host CPU per replayed body byte when restart folds an incremental
+/// delta chain into the restored state (ComdParams::replay_increments).
+constexpr double kMergeNsPerByte = 0.05;
+
 std::string checkpoint_path(uint32_t step, uint32_t rank) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "/comd.step%04u.rank%05u.ckpt", step, rank);
@@ -245,10 +249,10 @@ sim::Task<void> rank_task(nvmecr_rt::Cluster& cluster,
       replayed += body;
       state.rank_recovery_bytes[rank] += params.header_bytes + body;
     }
-    if (s.ok() && merge && params.merge_ns_per_byte > 0) {
+    if (s.ok() && merge) {
       // Fold the replayed deltas into the restored state on the host.
       const auto mw = static_cast<SimDuration>(
-          params.merge_ns_per_byte * static_cast<double>(replayed));
+          kMergeNsPerByte * static_cast<double>(replayed));
       co_await eng.delay(mw);
       if (ep != nullptr) {
         ep->record_rank(rank, params.checkpoints,

@@ -65,13 +65,12 @@ struct ComdParams {
   /// Honest incremental-restart accounting: instead of charging a full
   /// restore against the newest increment's size (the legacy shortcut),
   /// restart replays the retained delta chain — reading every kept
-  /// checkpoint oldest-to-newest and paying `merge_ns_per_byte` of host
-  /// CPU per replayed body byte — unless the storage system offers a
+  /// checkpoint oldest-to-newest and paying 0.05 ns of host merge CPU
+  /// per replayed body byte — unless the storage system offers a
   /// target-side materialized image (StorageSystem::restart_image_bytes,
   /// the offload pipeline's delta-compaction stage), which is read as
   /// one full-size stream with no merge.
   bool replay_increments = false;
-  double merge_ns_per_byte = 0.05;
 
   /// Run the restart phase after the checkpoint phase.
   bool do_recovery = true;

@@ -80,7 +80,9 @@ TEST(ScheduleTest, EventsRespectBoundsAndOrdering) {
       } else {
         EXPECT_GE(e.at, 0);
         EXPECT_LT(e.at, p.horizon);
-        if (e.until != 0) EXPECT_GT(e.until, e.at);  // 0 = permanent
+        if (e.until != 0) {
+          EXPECT_GT(e.until, e.at);  // 0 = permanent
+        }
       }
       if (i > 0 && s.events[i - 1].kind != FaultKind::kJobKill &&
           e.kind != FaultKind::kJobKill) {
@@ -149,6 +151,28 @@ TEST(ScheduleTest, SerializeParseRoundTrip) {
   EXPECT_FALSE(chaos::parse_schedule("# nvmecr chaos schedule v1\n"
                                      "event 0 bogus-kind 0 1 2 1.0 none\n")
                    .ok());
+}
+
+// A permanent event (until == 0 in the schedule file) stays armed for
+// every fault kind: a replayed straggler keeps slowing its SSD just as a
+// permanent link-down keeps the link down.
+TEST(InjectTest, PermanentEventsStayArmed) {
+  auto sched = chaos::parse_schedule(
+      "# nvmecr chaos schedule v1\n"
+      "event 0 straggler 0 1000 0 4.000000 none\n"
+      "event 1 link-down 1 1000 0 1.000000 none\n");
+  ASSERT_TRUE(sched.ok()) << sched.status().to_string();
+  nvmecr_rt::ClusterSpec spec;
+  spec.compute_nodes = 2;
+  spec.storage_nodes = 2;
+  nvmecr_rt::Cluster cluster(spec);
+  const chaos::InjectionStats stats = chaos::apply_schedule(cluster, *sched);
+  EXPECT_EQ(stats.stragglers, 1u);
+  EXPECT_EQ(stats.link_downs, 1u);
+
+  const SimTime t = 1'000'000'000'000;  // 10^12 ns
+  EXPECT_EQ(cluster.storage_ssd(0).straggler_factor_at(t), 4.0);
+  EXPECT_FALSE(cluster.network().link_up(cluster.storage_nodes()[1], t));
 }
 
 TEST(ScheduleTest, MtbfAggregatesCrashFamilies) {

@@ -224,7 +224,7 @@ TEST(CrashSimTest, GroupCommitRingWrapCrashNeverReplaysStaleRecords) {
   microfs::Options fsopts;
   fsopts.log_slots = 8;
   fsopts.coalesce_window = 64;
-  fsopts.auto_checkpoint = false;
+  fsopts.checkpoint_free_threshold = 0;  // no background checkpoint
   run.format(fsopts);
 
   auto st = run.eng.run_task([](MicroFs& m) -> sim::Task<Status> {
@@ -263,7 +263,7 @@ TEST(CrashSimTest, ForcedMidOpCheckpointRecoversAtEveryBoundary) {
   microfs::Options fsopts;
   fsopts.log_slots = 8;
   fsopts.coalesce_window = 0;  // every op takes a slot: frequent force
-  fsopts.auto_checkpoint = false;
+  fsopts.checkpoint_free_threshold = 0;  // no background checkpoint
   run.format(fsopts);
 
   auto st = run.eng.run_task([](MicroFs& m) -> sim::Task<Status> {

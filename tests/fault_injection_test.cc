@@ -95,7 +95,7 @@ TEST(FaultInjectionTest, CorruptedLogRecordsAreSkippedOnRecovery) {
 TEST(FaultInjectionTest, TornStateCheckpointFallsBackToOlderRegion) {
   SsdFsFixture f;
   microfs::Options options;
-  options.auto_checkpoint = false;
+  options.checkpoint_free_threshold = 0;  // no background checkpoint
   {
     auto fs = f.format(options);
     f.eng.run_task([](microfs::MicroFs& m) -> sim::Task<void> {
@@ -187,7 +187,7 @@ TEST(FaultInjectionTest, GroupCommitDrainErrorRetainsDirtySlots) {
   SsdFsFixture f;
   microfs::Options options;
   options.coalesce_window = 64;
-  options.auto_checkpoint = false;
+  options.checkpoint_free_threshold = 0;  // no background checkpoint
   auto fs = f.format(options);
   f.eng.run_task([](SsdFsFixture& fx, microfs::MicroFs& m) -> sim::Task<void> {
     auto fd = co_await m.creat("/a");

@@ -327,7 +327,7 @@ TEST(MicroFsTest, LogFullForcesInlineCheckpoint) {
   Fixture f;
   Options options;
   options.log_slots = 8;
-  options.auto_checkpoint = false;
+  options.checkpoint_free_threshold = 0;  // no background checkpoint
   options.coalesce_window = 0;
   auto fs = f.format(options);
   f.eng.run_task([](MicroFs& m) -> sim::Task<void> {

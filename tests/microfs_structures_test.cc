@@ -816,7 +816,9 @@ TEST(DirfileTest, LiveViewFoldsTombstones) {
   for (const auto& d : live) names.insert(d.name);
   EXPECT_EQ(names, (std::set<std::string>{"a", "b", "c"}));
   for (const auto& d : live) {
-    if (d.name == "a") EXPECT_EQ(d.ino, 4u);
+    if (d.name == "a") {
+      EXPECT_EQ(d.ino, 4u);
+    }
   }
 }
 

@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/models.h"
 #include "nvmecr/posix_shim.h"
 #include "nvmecr/runtime.h"
 #include "obs/metrics.h"
@@ -161,7 +163,7 @@ TEST(RetryDeviceTest, ResubmitsTheSameCommand) {
 // ---------------------------------------------------------------------------
 // Fabric link-fault windows
 
-TEST(NetworkFaultTest, LinkDownWindowTimesOutThenRecovers) {
+TEST(NetworkFaultTest, LinkDownTimesOutThenRecovers) {
   Cluster cluster(make_spec(2, 1));
   fabric::Network& net = cluster.network();
   const fabric::NodeId a = cluster.compute_nodes()[0];
@@ -177,14 +179,58 @@ TEST(NetworkFaultTest, LinkDownWindowTimesOutThenRecovers) {
                                fabric::NodeId dst) -> sim::Task<void> {
     // During the window the transfer burns the transport timeout and
     // fails typed-retryable.
-    Status s = co_await n.try_transfer(src, dst, 1_MiB);
+    Status s = co_await n.transfer(src, dst, 1_MiB);
     EXPECT_EQ(s.code(), ErrorCode::kTimedOut);
     EXPECT_EQ(c.engine().now(), n.params().transport_timeout);
     // After the window it goes through.
     co_await c.engine().sleep_until(1 * kMillisecond);
-    s = co_await n.try_transfer(src, dst, 1_MiB);
+    s = co_await n.transfer(src, dst, 1_MiB);
     EXPECT_TRUE(s.ok()) << s.to_string();
   }(cluster, net, a, b));
+}
+
+// A link that drops after submission but before the last byte lands:
+// the move runs to its fault-free completion time, where the completion
+// check finds the wire gone and the sender burns the transport timeout.
+TEST(NetworkFaultTest, LinkDropMidTransferTimesOutAtCompletion) {
+  auto move = [](Cluster& c, bool drop) {
+    fabric::Network& net = c.network();
+    const fabric::NodeId b = c.storage_nodes()[0];
+    if (drop) net.add_link_down(b, /*from=*/100 * kMicrosecond);
+    const Status s =
+        c.engine().run_task(net.transfer(c.compute_nodes()[0], b, 4_MiB));
+    return std::make_pair(s, c.engine().now());
+  };
+  Cluster clean(make_spec(2, 1));
+  const auto [clean_status, clean_done] = move(clean, false);
+  ASSERT_TRUE(clean_status.ok()) << clean_status.to_string();
+  ASSERT_GT(clean_done, 100 * kMicrosecond);  // the drop is mid-flight
+
+  Cluster cluster(make_spec(2, 1));
+  const auto [s, done] = move(cluster, true);
+  EXPECT_EQ(s.code(), ErrorCode::kTimedOut);
+  EXPECT_NE(s.message().find("link flapped during transfer"),
+            std::string::npos)
+      << s.to_string();
+  EXPECT_EQ(done, clean_done + cluster.network().params().transport_timeout);
+}
+
+// The comparator models ride the same fabric move: a GlusterFS create
+// whose directory RPC crosses a downed storage link fails typed-retryable
+// instead of completing as if the wire were there.
+TEST(NetworkFaultTest, ComparatorCreateAcrossDownedLinkTimesOut) {
+  Cluster cluster(make_spec(2, 1));
+  baselines::GlusterFsModel gluster(cluster, /*nranks=*/1,
+                                    /*procs_per_node=*/1);
+  cluster.network().partition(cluster.storage_nodes(), /*from=*/0);
+  const Status s = cluster.engine().run_task(
+      [](baselines::StorageSystem& sys) -> sim::Task<Status> {
+        auto client = co_await sys.connect(0);
+        NVMECR_CHECK(client.ok());
+        auto fd = co_await (*client)->create("/ckpt/rank0");
+        co_return fd.status();
+      }(gluster));
+  EXPECT_EQ(s.code(), ErrorCode::kTimedOut) << s.to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +347,7 @@ TEST(HysteresisTest, HeartbeatStateMachine) {
 
   cluster.engine().spawn(monitor.heartbeat(
       [&](fabric::NodeId n, SimTime t) {
-        return cluster.target(cluster.storage_ssd_index(n)).alive(t);
+        return cluster.storage_node_up(n, t);
       },
       /*until=*/1 * kMillisecond));
   cluster.engine().run();
@@ -366,7 +412,7 @@ TEST(HysteresisTest, FlappingTargetConvergesWithBoundedFalseAlarms) {
 
     cluster.engine().spawn(monitor.heartbeat(
         [&](fabric::NodeId n, SimTime t) {
-          return cluster.target(cluster.storage_ssd_index(n)).alive(t);
+          return cluster.storage_node_up(n, t);
         },
         /*until=*/real + 1 * kMillisecond));
     cluster.engine().run();
@@ -509,8 +555,7 @@ TEST(FailoverTest, MidCheckpointPivotThenHealRestoresPrimary) {
   // Heartbeat (probes the device) + healer, both bounded.
   cluster.engine().spawn(monitor.heartbeat(
       [&cluster](fabric::NodeId n, SimTime t) {
-        return !cluster.storage_ssd(cluster.storage_ssd_index(n))
-                    .crashed_at(t);
+        return cluster.storage_node_up(n, t);
       },
       /*until=*/200 * kMillisecond));
   cluster.engine().spawn(sys.healer(/*until=*/200 * kMillisecond));
@@ -598,8 +643,7 @@ TEST(FailoverTest, TraceCapturesPivotMarkersAndOverlappingSpans) {
 
   cluster.engine().spawn(monitor.heartbeat(
       [&cluster](fabric::NodeId n, SimTime t) {
-        return !cluster.storage_ssd(cluster.storage_ssd_index(n))
-                    .crashed_at(t);
+        return cluster.storage_node_up(n, t);
       },
       /*until=*/200 * kMillisecond));
   cluster.engine().spawn(sys.healer(/*until=*/200 * kMillisecond));
@@ -783,9 +827,7 @@ StormOutcome run_fault_storm(uint32_t kill, SimTime kill_at,
   const SimTime horizon = recover_at + 100 * kMillisecond;
   cluster.engine().spawn(monitor.heartbeat(
       [&cluster](fabric::NodeId n, SimTime t) {
-        const uint32_t idx = cluster.storage_ssd_index(n);
-        return cluster.target(idx).alive(t) &&
-               !cluster.storage_ssd(idx).crashed_at(t);
+        return cluster.storage_node_up(n, t);
       },
       horizon));
   cluster.engine().spawn(sys.healer(horizon));

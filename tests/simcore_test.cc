@@ -445,7 +445,9 @@ TEST(TraceTest, HostileNamesProduceValidJson) {
       ++quotes;
       continue;
     }
-    if (in_string) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+    if (in_string) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+    }
   }
   // Balanced quoting: every string literal was closed.
   EXPECT_FALSE(in_string);

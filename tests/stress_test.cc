@@ -138,7 +138,9 @@ TEST(StressTest, ManyFilesInOneDirectory) {
   eng.run_task([](MicroFs& m, size_t nfiles) -> sim::Task<void> {
     auto stream = co_await m.read_dirfile("/bulk");
     EXPECT_TRUE(stream.ok());
-    if (stream.ok()) EXPECT_EQ(live_view(*stream).size(), nfiles);
+    if (stream.ok()) {
+      EXPECT_EQ(live_view(*stream).size(), nfiles);
+    }
   }(*fs, static_cast<size_t>(kFiles)));
   // Crash-recover with this many namespace entries.
   fs.reset();

@@ -11,6 +11,7 @@
 // touching a downed link fails with a transport timeout.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -92,48 +93,25 @@ class Network {
   /// fail). If either endpoint's link is down at submission, or goes down
   /// before the last byte lands (completion ack lost), the initiator burns
   /// the transport timeout and gets kTimedOut.
+  ///
+  /// The body keeps its frame in the 192-byte frame-pool class (3.5M of
+  /// them per 448-rank comparator run): booking, accounting and the error
+  /// text live in plain helpers, and one sleep and one timeout site serve
+  /// every path.
   sim::Task<Status> transfer(NodeId src, NodeId dst, uint64_t bytes) {
     if (src == dst) co_return OkStatus();
-    if (!link_up(src, engine_.now()) || !link_up(dst, engine_.now())) {
-      co_await engine_.delay(params_.transport_timeout);
-      co_return TimedOutError("link down: node " + std::to_string(src) +
-                              " -> node " + std::to_string(dst));
+    const bool submitted = links_up(src, dst);
+    if (submitted) {
+      count_bytes(src, dst, bytes);
+      // `bytes` counts down what is still to book.
+      do {
+        co_await engine_.sleep_until(book_chunk(src, dst, bytes));
+      } while (bytes > 0);
     }
-    if (bytes > 0) {
-      Nic& s = nics_[src];
-      Nic& d = nics_[dst];
-      total_bytes_sent_ += bytes;
-      total_bytes_received_ += bytes;
-      if (s.tx_bytes != nullptr) s.tx_bytes->add(bytes);
-      if (d.rx_bytes != nullptr) d.rx_bytes->add(bytes);
-      const uint64_t chunk = params_.fair_chunk;
-      SimTime arrive = engine_.now();
-      uint64_t left = bytes;
-      while (left > 0) {
-        const uint64_t piece = left < chunk ? left : chunk;
-        const SimTime tx_done = s.tx.reserve(piece);
-        arrive = d.rx.reserve_after(tx_done, piece);
-        left -= piece;
-        // Pace on the tx pipe (suspending per chunk lets concurrent flows
-        // interleave their reservations — fair sharing, part of the
-        // model); the rx side pipelines: chunk k is received while chunk
-        // k+1 transmits.
-        if (left > 0) co_await engine_.sleep_until(tx_done);
-      }
-      if (s.tx_backlog != nullptr) {
-        s.tx_backlog->set(engine_.now(), static_cast<double>(s.tx.backlog()));
-      }
-      // Last-byte arrival and wire latency are one wakeup, not two.
-      co_await engine_.sleep_until(arrive + latency(src, dst));
-    } else {
-      co_await engine_.delay(latency(src, dst));
-    }
-    if (!link_up(src, engine_.now()) || !link_up(dst, engine_.now())) {
-      // The wire dropped mid-flight; the sender only learns via timeout.
+    if (!submitted || !links_up(src, dst)) {
+      // The sender only learns of a dead link via the timeout.
       co_await engine_.delay(params_.transport_timeout);
-      co_return TimedOutError("link flapped during transfer: node " +
-                              std::to_string(src) + " -> node " +
-                              std::to_string(dst));
+      co_return link_timeout(src, dst, submitted);
     }
     co_return OkStatus();
   }
@@ -178,6 +156,48 @@ class Network {
     // Scheduled link-down windows.
     sim::Outages down = {};
   };
+
+  bool links_up(NodeId src, NodeId dst) const {
+    return link_up(src, engine_.now()) && link_up(dst, engine_.now());
+  }
+
+  void count_bytes(NodeId src, NodeId dst, uint64_t bytes) {
+    if (bytes == 0) return;
+    total_bytes_sent_ += bytes;
+    total_bytes_received_ += bytes;
+    if (nics_[src].tx_bytes != nullptr) nics_[src].tx_bytes->add(bytes);
+    if (nics_[dst].rx_bytes != nullptr) nics_[dst].rx_bytes->add(bytes);
+  }
+
+  /// Books the next fair_chunk of a transfer with `left` bytes still to
+  /// book and returns when the sender wakes. While bytes remain that is
+  /// the chunk's tx completion: pacing on the tx pipe lets concurrent
+  /// flows interleave their reservations (fair sharing, part of the
+  /// model), and the rx side pipelines, receiving chunk k while chunk k+1
+  /// transmits. After the last chunk, or for a zero-byte move, it is the
+  /// last byte's arrival plus the wire latency: one wakeup, not two.
+  SimTime book_chunk(NodeId src, NodeId dst, uint64_t& left) {
+    if (left == 0) return engine_.now() + latency(src, dst);
+    Nic& s = nics_[src];
+    const uint64_t piece = std::min(left, params_.fair_chunk);
+    const SimTime tx_done = s.tx.reserve(piece);
+    const SimTime arrive = nics_[dst].rx.reserve_after(tx_done, piece);
+    left -= piece;
+    if (left > 0) return tx_done;
+    if (s.tx_backlog != nullptr) {
+      s.tx_backlog->set(engine_.now(), static_cast<double>(s.tx.backlog()));
+    }
+    return arrive + latency(src, dst);
+  }
+
+  /// The kTimedOut a transfer reports: its link was down at submission,
+  /// or dropped while the move was in flight.
+  static Status link_timeout(NodeId src, NodeId dst, bool submitted) {
+    const char* what =
+        submitted ? "link flapped during transfer" : "link down";
+    return TimedOutError(std::string(what) + ": node " + std::to_string(src) +
+                         " -> node " + std::to_string(dst));
+  }
 
   sim::Engine& engine_;
   const Topology& topology_;

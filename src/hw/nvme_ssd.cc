@@ -97,29 +97,25 @@ SimTime NvmeSsd::reserve_channels(
   if (len == 0) return earliest;
   const uint32_t bs = spec_.hw_block_size;
   const uint32_t nch = spec_.channels;
-  // Distribute hw blocks round-robin starting at the LBA-implied channel.
+  // Distribute hw blocks round-robin starting at the LBA-implied channel:
+  // every channel gets the whole rounds, the first nblocks % nch channels
+  // from start_ch one block more, and the channel of the final block
+  // transfers only that block's real bytes.
   const uint64_t nblocks = ceil_div(len, bs);
   const uint32_t start_ch = static_cast<uint32_t>((abs_offset / bs) % nch);
-  std::vector<uint64_t> per_channel(nch, 0);
-  if (nblocks >= nch) {
-    const uint64_t whole_rounds = nblocks / nch;
-    for (uint32_t c = 0; c < nch; ++c) per_channel[c] = whole_rounds * bs;
-    for (uint64_t r = 0; r < nblocks % nch; ++r) {
-      per_channel[(start_ch + r) % nch] += bs;
-    }
-  } else {
-    for (uint64_t b = 0; b < nblocks; ++b) {
-      per_channel[(start_ch + b) % nch] += bs;
-    }
-  }
-  // The final partial block transfers only its real bytes.
+  const uint64_t whole_rounds = nblocks / nch;
+  const uint64_t extra = nblocks % nch;
+  const uint64_t last_pos = (nblocks - 1) % nch;  // final block's position
   const uint64_t slack = nblocks * bs - len;
-  per_channel[(start_ch + nblocks - 1) % nch] -= slack;
 
   SimTime finish = earliest;
   for (uint32_t c = 0; c < nch; ++c) {
-    if (per_channel[c] == 0) continue;
-    finish = std::max(finish, channels[c].reserve_after(earliest, per_channel[c]));
+    // Round-robin position of channel c counted from start_ch.
+    const uint64_t pos = c >= start_ch ? c - start_ch : c + nch - start_ch;
+    uint64_t bytes = (whole_rounds + (pos < extra ? 1 : 0)) * bs;
+    if (pos == last_pos) bytes -= slack;
+    if (bytes == 0) continue;
+    finish = std::max(finish, channels[c].reserve_after(earliest, bytes));
   }
   return finish;
 }

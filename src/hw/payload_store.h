@@ -6,12 +6,16 @@
 // physical medium would overwrite sectors; adjacent same-seed extents
 // merge so a sequentially written checkpoint file costs one map entry.
 //
-// Host-performance fast paths (DESIGN.md §11): each extent caches its
-// whole-extent combined tag so re-reading an unmodified extent is O(1)
-// instead of re-hashing every block; writes that land past the last
-// extent (the dominant sequential-checkpoint case) skip the overlap
-// carve and use hinted map insertion; bytes_stored() is maintained
-// incrementally instead of walking the map.
+// Host cost (DESIGN.md §11):
+// - A pattern write that starts inside or at the end of an extent of its
+//   own seed grows that extent in place: it erases the extents it fully
+//   covers and re-keys the one it ends inside, allocating no map node.
+//   A per-store table remembers the extent each seed last grew (indexed
+//   by the seed's low bits), so a stream's next write needs no tree
+//   descent. Every other write carves the overlap and inserts a node.
+// - Pattern block tags form a geometric sequence per seed, so the tag of
+//   a block range costs O(log n) multiplications, not one hash per block.
+// - bytes_stored() is maintained incrementally.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,11 @@ namespace nvmecr::hw {
 class PayloadStore {
  public:
   explicit PayloadStore(uint32_t block_size) : block_size_(block_size) {}
+
+  // The seed table holds iterators into this store's map; a copy or a
+  // move would leave them pointing into another map.
+  PayloadStore(const PayloadStore&) = delete;
+  PayloadStore& operator=(const PayloadStore&) = delete;
 
   /// Stores real bytes at [offset, offset+data.size()).
   void write_bytes(uint64_t offset, std::span<const std::byte> data);
@@ -44,12 +53,14 @@ class PayloadStore {
   /// blocks contribute 0. Offset/len must be block-aligned.
   StatusOr<uint64_t> read_combined_tag(uint64_t offset, uint64_t len) const;
 
-  /// The per-block tag a pattern write produces; exposed so workloads can
-  /// precompute the tag they expect to read back.
+  /// The per-block tag a pattern write produces: h(seed)·r^block_index
+  /// mod 2^64, with h(seed) = mix64(seed) | 1 and a fixed odd ratio r.
+  /// Exposed so workloads can precompute the tag they expect to read back.
   static uint64_t block_tag(uint64_t seed, uint64_t block_index);
 
   /// Expected combined tag for a pattern extent (what read_combined_tag
   /// returns if [offset, offset+len) is covered by `seed` pattern data).
+  /// O(log) in the block count.
   static uint64_t expected_tag(uint64_t seed, uint64_t offset, uint64_t len,
                                uint32_t block_size);
 
@@ -60,27 +71,13 @@ class PayloadStore {
   /// this small for sequential workloads).
   size_t extent_count() const { return extents_.size(); }
 
-  /// Times read_combined_tag served a whole extent from its cached tag
-  /// instead of re-hashing per block (exported as payload.tag_cache_hits).
-  ///
-  /// Note the cache only engages on *whole-extent* reads: extent merging
-  /// coalesces a sequentially written file into one big extent, so a
-  /// reader that fetches it back in smaller chunks (the e2e CoMD restart
-  /// path) takes the partial-overlap branch every time and hits are
-  /// legitimately zero there — see tag_reads()/tag_cache_fills() to tell
-  /// "never engaged" apart from "never called".
-  uint64_t tag_cache_hits() const { return tag_cache_hits_; }
-
-  /// Total read_combined_tag calls (hit-rate denominator).
+  /// Total read_combined_tag calls (exported as payload.tag_reads).
   uint64_t tag_reads() const { return tag_reads_; }
-
-  /// Whole-extent reads that computed and cached a tag (a later identical
-  /// read would hit).
-  uint64_t tag_cache_fills() const { return tag_cache_fills_; }
 
   /// Drops all content (device reformat).
   void clear() {
     extents_.clear();
+    seed_hints_.clear();
     total_bytes_ = 0;
   }
 
@@ -94,32 +91,49 @@ class PayloadStore {
     bool is_pattern = false;
     uint64_t seed = 0;
     std::vector<std::byte> bytes;
-    // Whole-extent combined tag, filled lazily by read_combined_tag and
-    // invalidated by every mutation (trim, merge, extend). Mutable: the
-    // cache is filled from const readers.
-    mutable uint64_t cached_tag = 0;
-    mutable bool tag_valid = false;
   };
 
   using ExtentMap = std::map<uint64_t, Extent>;  // key: start offset
+  using Iter = ExtentMap::iterator;
 
-  /// Removes/overwrite-trims everything intersecting [start, start+len).
-  /// Returns the position where a new extent at `start` belongs, usable
-  /// as an insertion hint.
-  ExtentMap::iterator carve(uint64_t start, uint64_t len);
+  /// First extent starting after `offset` (upper_bound), in O(1) when
+  /// `offset` lies at or past the end of the last extent.
+  Iter upper(uint64_t offset);
 
-  /// Inserts at `hint` (from carve() or end() for appends) and merges
-  /// with neighbors when possible.
-  void insert_extent(ExtentMap::iterator hint, uint64_t start, Extent e);
+  /// First extent that ends after `offset`.
+  ExtentMap::const_iterator first_overlap(uint64_t offset) const;
 
-  /// True when [offset, ...) starts at or past the end of the last
-  /// extent, i.e. the write cannot overlap anything and carve() can be
-  /// skipped entirely.
-  bool append_past_end(uint64_t offset) const {
-    if (extents_.empty()) return true;
-    const auto& [last_start, last] = *extents_.rbegin();
-    return last_start + last.len <= offset;
-  }
+  /// Removes/overwrite-trims everything intersecting [start, start+len),
+  /// where `ub` is upper(start). Returns the position where a new extent
+  /// at `start` belongs, usable as an insertion hint.
+  Iter carve(Iter ub, uint64_t start, uint64_t len);
+
+  /// Inserts at `hint` (from carve()) and merges with neighbors when
+  /// possible. Returns the extent that now holds [start, ...).
+  Iter insert_extent(Iter hint, uint64_t start, Extent e);
+
+  /// Extends same-seed pattern extent `it` to end at `end`: erases the
+  /// extents the growth fully covers, trims the head of the one it ends
+  /// inside and absorbs a same-seed successor. Allocates nothing.
+  void grow(Iter it, uint64_t end);
+
+  /// Moves extent `it`'s start forward to `new_start`, dropping its head,
+  /// by re-keying its node (no allocation). Returns the moved extent.
+  Iter trim_head(Iter it, uint64_t new_start);
+
+  /// Erases `it` (clearing a seed-table slot that points at it); returns
+  /// the next extent.
+  Iter erase(Iter it);
+
+  /// The seed table's guess for `seed`'s stream, or end().
+  Iter hinted(uint64_t seed);
+
+  /// Records `it` as the extent its seed last grew, first sizing the
+  /// table to the store.
+  void remember(Iter it);
+
+  /// Clears the seed-table slot that points at `it`, if any.
+  void forget(Iter it);
 
   /// Combined tag of extent `e` (starting at `e_start`) restricted to
   /// [ov_start, ov_end), which must lie within the extent.
@@ -131,9 +145,11 @@ class PayloadStore {
 
   uint32_t block_size_;
   ExtentMap extents_;
+  /// Seed table: slot (seed & (size - 1)) holds the pattern extent that
+  /// seed last grew, or end(). Empty until the first pattern write; grows
+  /// with the store up to 4,096 slots.
+  std::vector<Iter> seed_hints_;
   uint64_t total_bytes_ = 0;
-  mutable uint64_t tag_cache_hits_ = 0;
-  mutable uint64_t tag_cache_fills_ = 0;
   mutable uint64_t tag_reads_ = 0;
 };
 

@@ -73,18 +73,32 @@ sim::Task<StatusOr<int>> LocalFs::open(const std::string& path, bool create) {
     it->second->read_pos = 0;
   }
 
-  const int fd = next_fd_++;
-  open_files_.emplace(fd, it->second);
+  int fd;
+  if (free_fds_.empty()) {
+    fd = kFirstFd + static_cast<int>(open_files_.size());
+    open_files_.push_back(it->second);
+  } else {
+    fd = free_fds_.back();
+    free_fds_.pop_back();
+    open_files_[static_cast<size_t>(fd - kFirstFd)] = it->second;
+  }
   co_return fd;
+}
+
+std::shared_ptr<LocalFs::File>* LocalFs::fd_slot(int fd) {
+  if (fd < kFirstFd) return nullptr;
+  const auto i = static_cast<size_t>(fd - kFirstFd);
+  if (i >= open_files_.size() || open_files_[i] == nullptr) return nullptr;
+  return &open_files_[i];
 }
 
 sim::Task<Status> LocalFs::write(int fd, uint64_t len) {
   SyscallScope scope(engine_, kernel_time_);
-  auto of = open_files_.find(fd);
-  if (of == open_files_.end()) co_return BadFdError();
+  const std::shared_ptr<File>* slot = fd_slot(fd);
+  if (slot == nullptr) co_return BadFdError();
   // The syscall holds its own reference, as the kernel does, so a
   // concurrent close cannot free the file under it.
-  const std::shared_ptr<File> file = of->second;
+  const std::shared_ptr<File> file = *slot;
 
   co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
   // copy_from_user into the page cache.
@@ -106,7 +120,7 @@ sim::Task<Status> LocalFs::writeback(File& file, uint64_t bytes) {
   while (remaining > 0) {
     const uint64_t req = std::min(remaining, costs_.max_request_bytes);
     // Journal/allocator pipeline ceiling, shared across all writers.
-    co_await writeback_pipe_.transfer(req);
+    co_await engine_.sleep_until(writeback_pipe_.reserve(req));
     // Block layer + device + interrupt completion.
     co_await engine_.delay(costs_.block_layer_per_req);
     const uint64_t aligned = round_up(req, dev_->hw_block_size());
@@ -122,9 +136,9 @@ sim::Task<Status> LocalFs::writeback(File& file, uint64_t bytes) {
 
 sim::Task<Status> LocalFs::fsync(int fd) {
   SyscallScope scope(engine_, kernel_time_);
-  auto of = open_files_.find(fd);
-  if (of == open_files_.end()) co_return BadFdError();
-  const std::shared_ptr<File> file = of->second;
+  const std::shared_ptr<File>* slot = fd_slot(fd);
+  if (slot == nullptr) co_return BadFdError();
+  const std::shared_ptr<File> file = *slot;
 
   co_await engine_.delay(costs_.syscall_trap);
   if (file->dirty > 0) {
@@ -152,9 +166,9 @@ sim::Task<Status> LocalFs::fsync(int fd) {
 
 sim::Task<Status> LocalFs::read(int fd, uint64_t len) {
   SyscallScope scope(engine_, kernel_time_);
-  auto of = open_files_.find(fd);
-  if (of == open_files_.end()) co_return BadFdError();
-  const std::shared_ptr<File> file = of->second;
+  const std::shared_ptr<File>* slot = fd_slot(fd);
+  if (slot == nullptr) co_return BadFdError();
+  const std::shared_ptr<File> file = *slot;
 
   co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
   uint64_t remaining =
@@ -178,7 +192,10 @@ sim::Task<Status> LocalFs::read(int fd, uint64_t len) {
 sim::Task<Status> LocalFs::close(int fd) {
   SyscallScope scope(engine_, kernel_time_);
   co_await engine_.delay(costs_.syscall_trap);
-  if (open_files_.erase(fd) == 0) co_return BadFdError();
+  std::shared_ptr<File>* slot = fd_slot(fd);
+  if (slot == nullptr) co_return BadFdError();
+  slot->reset();
+  free_fds_.push_back(fd);
   co_return OkStatus();
 }
 

@@ -25,7 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "hw/nvme_ssd.h"
 #include "kernelfs/kernel_costs.h"
@@ -124,6 +124,9 @@ class LocalFs {
   /// + device (chunked at the kernel max request size).
   sim::Task<Status> writeback(File& file, uint64_t bytes);
 
+  /// The slot of open fd `fd`, or null for a bad fd.
+  std::shared_ptr<File>* fd_slot(int fd);
+
   sim::Engine& engine_;
   hw::NvmeSsd& ssd_;
   uint32_t nsid_;
@@ -136,10 +139,13 @@ class LocalFs {
   sim::BandwidthResource writeback_pipe_;
   sim::FifoMutex journal_lock_;
 
-  /// Name → file for open/unlink; fd → file for every other op.
+  /// Name → file for open/unlink; fd → file for every other op. Slot
+  /// fd - kFirstFd of `open_files_` holds fd's file (null once closed);
+  /// open reuses closed fds first.
+  static constexpr int kFirstFd = 3;
   std::map<std::string, std::shared_ptr<File>> files_;
-  std::unordered_map<int, std::shared_ptr<File>> open_files_;
-  int next_fd_ = 3;
+  std::vector<std::shared_ptr<File>> open_files_;
+  std::vector<int> free_fds_;
   uint64_t alloc_cursor_ = 0;  // simple bump space allocation
 
   SimDuration kernel_time_ = 0;

@@ -96,18 +96,9 @@ void Cluster::export_run_metrics() {
        exported_frames_allocated_);
   push("engine.frames_recycled", sim::frames_recycled(),
        exported_frames_recycled_);
-  uint64_t tag_hits = 0;
-  uint64_t tag_fills = 0;
   uint64_t tag_reads = 0;
-  const auto sum_payload = [&](const hw::NvmeSsd& ssd) {
-    tag_hits += ssd.payload().tag_cache_hits();
-    tag_fills += ssd.payload().tag_cache_fills();
-    tag_reads += ssd.payload().tag_reads();
-  };
-  for (const auto& ssd : storage_ssds_) sum_payload(*ssd);
-  for (const auto& ssd : local_ssds_) sum_payload(*ssd);
-  push("payload.tag_cache_hits", tag_hits, exported_tag_cache_hits_);
-  push("payload.tag_cache_fills", tag_fills, exported_tag_cache_fills_);
+  for (const auto& ssd : storage_ssds_) tag_reads += ssd->payload().tag_reads();
+  for (const auto& ssd : local_ssds_) tag_reads += ssd->payload().tag_reads();
   push("payload.tag_reads", tag_reads, exported_tag_reads_);
   push("fabric.bytes_sent", net_.total_bytes_sent(), exported_fabric_sent_);
   push("fabric.bytes_received", net_.total_bytes_received(),

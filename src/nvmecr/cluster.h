@@ -123,8 +123,6 @@ class Cluster {
   uint64_t exported_calendar_hits_ = 0;
   uint64_t exported_frames_allocated_ = 0;
   uint64_t exported_frames_recycled_ = 0;
-  uint64_t exported_tag_cache_hits_ = 0;
-  uint64_t exported_tag_cache_fills_ = 0;
   uint64_t exported_tag_reads_ = 0;
   uint64_t exported_fabric_sent_ = 0;
   uint64_t exported_fabric_received_ = 0;

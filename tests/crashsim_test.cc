@@ -112,6 +112,42 @@ TEST(CrashSimTest, RecorderJournalsWritesAndBoundaries) {
   }(*full));
 }
 
+// Tag mutations in a crash image: a pattern written one block off, a
+// torn write that left its last block unwritten, and a range with one
+// block of another seed each read back with a tag that differs from
+// expected_tag, while the intact write matches it.
+TEST(CrashSimTest, TagMutationsInImageDifferFromExpected) {
+  sim::Engine eng;
+  hw::RamDevice ram(1_MiB, 512);
+  RecordingDevice rec(ram);
+  eng.run_task([](RecordingDevice& d) -> sim::Task<void> {
+    EXPECT_TRUE((co_await d.write_tagged(8192, 4096, /*seed=*/7)).ok());
+    // Meant for 16384, landed one block later.
+    EXPECT_TRUE((co_await d.write_tagged(16384 + 512, 4096, 7)).ok());
+    EXPECT_TRUE((co_await d.write_tagged(32768, 4096, 7)).ok());
+    EXPECT_TRUE((co_await d.write_tagged(32768 + 1024, 512, /*seed=*/8)).ok());
+    EXPECT_TRUE((co_await d.write_tagged(65536, 4096, 7, 8)).ok());
+  }(rec));
+  const Boundary& last = rec.boundaries().back();
+  ASSERT_EQ(rec.last_mutation_sectors(last), 8u);
+  const auto full = rec.materialize(last);
+  const auto torn = rec.materialize(last, /*torn_sectors=*/7);
+  auto tag = [](const hw::RamDevice& img, uint64_t off) {
+    auto t = img.payload().read_combined_tag(off, 4096);
+    NVMECR_CHECK(t.ok());
+    return *t;
+  };
+  auto expect = [](uint64_t off) {
+    return hw::PayloadStore::expected_tag(7, off, 4096, 512);
+  };
+  EXPECT_EQ(tag(*full, 8192), expect(8192));
+  EXPECT_NE(tag(*full, 16384), expect(16384));
+  EXPECT_NE(tag(*full, 16384 + 512), expect(16384));
+  EXPECT_NE(tag(*full, 32768), expect(32768));
+  EXPECT_EQ(tag(*full, 65536), expect(65536));
+  EXPECT_NE(tag(*torn, 65536), expect(65536));
+}
+
 // A zero-length write is one boundary with nothing to tear: it spans no
 // sector (the sector span must not compute (offset + len - 1) / bs, which
 // wraps for len 0 at offset 0 and would ask for 2^55 torn states).

@@ -3,7 +3,9 @@
 // and PartitionView.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,6 +16,24 @@
 #include "hw/ram_device.h"
 #include "simcore/engine.h"
 #include "simcore/event.h"
+
+// Counts global heap allocations, so a test can show that an operation
+// allocates nothing (no map node, no buffer). The replacements pair
+// malloc with free, which GCC cannot see through once it inlines them.
+namespace {
+uint64_t g_heap_allocations = 0;
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  ++g_heap_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace nvmecr::hw {
 namespace {
@@ -173,8 +193,7 @@ TEST(PayloadStorePropertyTest, RandomPatternsMatchBlockModel) {
 }
 
 // Fragmentation stress: random pattern/byte overwrite churn across an
-// aligned block space, interleaved with tag reads (exercising the
-// whole-extent tag cache and its invalidation), validating
+// aligned block space, interleaved with tag reads, validating
 // bytes_stored() and combined tags against a naive per-block reference
 // at every step.
 TEST(PayloadStorePropertyTest, FragmentationChurnMatchesNaiveReference) {
@@ -220,66 +239,18 @@ TEST(PayloadStorePropertyTest, FragmentationChurnMatchesNaiveReference) {
     ASSERT_EQ(store.bytes_stored(), written_blocks * kBs) << "iter " << iter;
     ASSERT_LE(store.extent_count(), kBlocks);
   }
-  // Final whole-range sweep: cold pass fills every extent's cache, warm
-  // pass must serve every extent from it with an identical result.
+  // Final whole-range sweep.
   uint64_t expect = 0;
   for (uint64_t b = 0; b < kBlocks; ++b) expect += ref_block_tag(b);
-  auto cold = store.read_combined_tag(0, kBlocks * kBs);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(*cold, expect);
-  const uint64_t hits_before = store.tag_cache_hits();
-  auto warm = store.read_combined_tag(0, kBlocks * kBs);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(*warm, *cold);
-  EXPECT_EQ(store.tag_cache_hits() - hits_before, store.extent_count());
-}
-
-TEST(PayloadStoreTest, TagCacheHitsAndInvalidation) {
-  constexpr uint32_t kBs = 4096;
-  PayloadStore store(kBs);
-  ASSERT_TRUE(store.write_pattern(0, 64 * kBs, 9).ok());
-  ASSERT_EQ(store.extent_count(), 1u);
-
-  auto t1 = store.read_combined_tag(0, 64 * kBs);  // fills the cache
-  ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(store.tag_cache_hits(), 0u);
-  auto t2 = store.read_combined_tag(0, 64 * kBs);  // served from cache
-  ASSERT_TRUE(t2.ok());
-  EXPECT_EQ(store.tag_cache_hits(), 1u);
-  EXPECT_EQ(*t1, *t2);
-
-  // Partial reads bypass the cache but stay correct.
-  auto part = store.read_combined_tag(4 * kBs, 8 * kBs);
-  ASSERT_TRUE(part.ok());
-  EXPECT_EQ(*part, PayloadStore::expected_tag(9, 4 * kBs, 8 * kBs, kBs));
-  EXPECT_EQ(store.tag_cache_hits(), 1u);
-
-  // Overwriting the middle splits the extent and invalidates caches; the
-  // recomputed tag must reflect the new content.
-  ASSERT_TRUE(store.write_pattern(16 * kBs, 4 * kBs, 11).ok());
-  auto t3 = store.read_combined_tag(0, 64 * kBs);
-  ASSERT_TRUE(t3.ok());
-  uint64_t expect = 0;
-  for (uint64_t b = 0; b < 64; ++b) {
-    expect += PayloadStore::block_tag(b >= 16 && b < 20 ? 11 : 9, b);
-  }
-  EXPECT_EQ(*t3, expect);
-
-  // Appending with the same seed extends the last extent in place and
-  // must invalidate its cached tag too.
-  auto whole1 = store.read_combined_tag(20 * kBs, 44 * kBs);
-  ASSERT_TRUE(whole1.ok());
-  ASSERT_TRUE(store.write_pattern(64 * kBs, 4 * kBs, 9).ok());
-  auto tail = store.read_combined_tag(20 * kBs, 48 * kBs);
-  ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(*tail, PayloadStore::expected_tag(9, 20 * kBs, 48 * kBs, kBs));
+  auto whole = store.read_combined_tag(0, kBlocks * kBs);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(*whole, expect);
 }
 
 TEST(PayloadStoreTest, AppendFastPathKeepsMergeAndAccounting) {
   constexpr uint32_t kBs = 4096;
   PayloadStore store(kBs);
-  // Sequential same-seed appends collapse into one extent (the carve-free
-  // fast path must preserve merging).
+  // Sequential same-seed appends grow one extent in place.
   for (uint64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(store.write_pattern(i * 4 * kBs, 4 * kBs, 3).ok());
   }
@@ -292,6 +263,185 @@ TEST(PayloadStoreTest, AppendFastPathKeepsMergeAndAccounting) {
   auto tag = store.read_combined_tag(0, 400 * kBs);
   ASSERT_TRUE(tag.ok());
   EXPECT_EQ(*tag, PayloadStore::expected_tag(3, 0, 400 * kBs, kBs));
+}
+
+TEST(PayloadStoreTest, ClosedFormMatchesPerBlockSum) {
+  // block_tag(s, i) is geometric in i: h·r^i. So t(i+1)·t(0) == t(i)·t(1).
+  for (uint64_t i : {0ull, 1ull, 7ull, 4096ull, 1ull << 40}) {
+    EXPECT_EQ(PayloadStore::block_tag(3, i + 1) * PayloadStore::block_tag(3, 0),
+              PayloadStore::block_tag(3, i) * PayloadStore::block_tag(3, 1));
+  }
+  // expected_tag's O(log n) range sum equals the per-block sum.
+  for (uint64_t first : {0ull, 1ull, 1023ull, (1ull << 33) + 5}) {
+    for (uint64_t n : {1ull, 2ull, 3ull, 64ull, 1000ull, 65537ull}) {
+      uint64_t sum = 0;
+      for (uint64_t b = first; b < first + n; ++b) {
+        sum += PayloadStore::block_tag(11, b);
+      }
+      EXPECT_EQ(PayloadStore::expected_tag(11, first * 512, n * 512, 512), sum)
+          << "first " << first << " n " << n;
+    }
+  }
+}
+
+// Tag mutations: a pattern written one block off, a range with one block
+// left unwritten, and a range with one block of another seed each read
+// back with a tag that differs from expected_tag, at lengths whose
+// geometric sums are odd, even, and highly even (powers of two).
+TEST(PayloadStoreTest, TagMutationsDifferFromExpected) {
+  constexpr uint32_t kBs = 4096;
+  for (uint64_t first : {0ull, 1ull, 37ull, 4096ull}) {
+    for (uint64_t n : {1ull, 2ull, 3ull, 8ull, 64ull, 100ull, 1024ull}) {
+      const uint64_t off = first * kBs;
+      const uint64_t len = n * kBs;
+      const uint64_t expect = PayloadStore::expected_tag(7, off, len, kBs);
+      {
+        PayloadStore store(kBs);
+        ASSERT_TRUE(store.write_pattern(off, len, 7).ok());
+        EXPECT_EQ(*store.read_combined_tag(off, len), expect);
+      }
+      {
+        PayloadStore store(kBs);
+        ASSERT_TRUE(store.write_pattern(off + kBs, len, 7).ok());
+        EXPECT_NE(*store.read_combined_tag(off + kBs, len), expect)
+            << "one block off, first " << first << " n " << n;
+        EXPECT_NE(*store.read_combined_tag(off, len), expect);
+      }
+      for (uint64_t j : {uint64_t{0}, n / 2, n - 1}) {
+        PayloadStore hole(kBs);
+        ASSERT_TRUE(hole.write_pattern(off, j * kBs, 7).ok());
+        ASSERT_TRUE(
+            hole.write_pattern(off + (j + 1) * kBs, (n - j - 1) * kBs, 7).ok());
+        EXPECT_NE(*hole.read_combined_tag(off, len), expect)
+            << "block " << j << " unwritten, first " << first << " n " << n;
+
+        PayloadStore other(kBs);
+        ASSERT_TRUE(other.write_pattern(off, len, 7).ok());
+        ASSERT_TRUE(other.write_pattern(off + j * kBs, kBs, 8).ok());
+        EXPECT_NE(*other.read_combined_tag(off, len), expect)
+            << "block " << j << " of seed 8, first " << first << " n " << n;
+      }
+    }
+  }
+}
+
+// A stream's next write grows its extent in place: written into the
+// middle of a populated store, each write rewrites the stream's last
+// block and runs into an older extent, yet leaves extent_count()
+// unchanged and allocates nothing (no map node per write).
+TEST(PayloadStoreTest, StreamGrowsInPlaceWithoutNewNodes) {
+  constexpr uint32_t kBs = 4096;
+  PayloadStore store(kBs);
+  ASSERT_TRUE(store.write_pattern(0, 4096 * kBs, 5).ok());
+  for (uint64_t i = 0; i < 32; ++i) {  // metadata at both ends
+    store.write_bytes(i * 8 * kBs + 100, make_bytes(300, 0x5a));
+    store.write_bytes((3840 + i * 8) * kBs + 100, make_bytes(300, 0xa5));
+  }
+  for (uint64_t i = 0; i < 16; ++i) {  // other streams' extents
+    ASSERT_TRUE(store.write_pattern((300 + i * 16) * kBs, 4 * kBs, 40 + i).ok());
+  }
+  // The stream's first write splits seed 5's extent around it.
+  uint64_t cursor = 1000;
+  ASSERT_TRUE(store.write_pattern(cursor * kBs, 4 * kBs, 9).ok());
+  cursor += 4;
+  const size_t extents = store.extent_count();
+  const uint64_t stored = store.bytes_stored();
+  const uint64_t allocs0 = g_heap_allocations;
+  for (int w = 0; w < 200; ++w) {
+    ASSERT_TRUE(store.write_pattern((cursor - 1) * kBs, 5 * kBs, 9).ok());
+    cursor += 4;
+    ASSERT_EQ(store.extent_count(), extents) << "write " << w;
+  }
+  EXPECT_EQ(g_heap_allocations - allocs0, 0u);
+  EXPECT_EQ(store.bytes_stored(), stored);
+  auto tag = store.read_combined_tag(996 * kBs, (cursor - 996 + 8) * kBs);
+  ASSERT_TRUE(tag.ok());
+  EXPECT_EQ(*tag, PayloadStore::expected_tag(5, 996 * kBs, 4 * kBs, kBs) +
+                      PayloadStore::expected_tag(9, 1000 * kBs,
+                                                 (cursor - 1000) * kBs, kBs) +
+                      PayloadStore::expected_tag(5, cursor * kBs, 8 * kBs, kBs));
+}
+
+// Interleaved streams against the per-block reference, checked after
+// every operation. There are more streams than the seed table's smallest
+// size, and seeds come in groups equal modulo its largest size, so every
+// group shares a slot at every table size. Each stream write rewrites
+// its stream's last block and runs on into older extents; byte writes
+// and random-offset pattern writes erase, split and trim stream extents
+// under the table. A slot left pointing at an erased extent would be
+// dereferenced by the next write of its seed (ASan catches it).
+TEST(PayloadStorePropertyTest, InterleavedStreamsMatchBlockModel) {
+  constexpr uint32_t kBs = 512;  // small blocks keep byte hashing cheap
+  constexpr uint64_t kBlocks = 1024;
+  constexpr int kStreams = 96;
+  PayloadStore store(kBs);
+  // Per-block reference: 0 = unwritten, positive = pattern seed,
+  // negative = byte block filled with -(value).
+  std::vector<int64_t> ref(kBlocks, 0);
+  Rng rng(20261020);
+
+  struct Stream {
+    int64_t seed;
+    uint64_t cursor;  // next block; 0 = not started
+  };
+  std::vector<Stream> streams;
+  for (int k = 0; k < kStreams; ++k) {
+    streams.push_back({1 + k % 24 + (k / 24) * 4096, 0});
+  }
+
+  auto write_pattern = [&](uint64_t b0, uint64_t nb, int64_t seed) {
+    ASSERT_TRUE(store.write_pattern(b0 * kBs, nb * kBs, seed).ok());
+    for (uint64_t b = b0; b < b0 + nb; ++b) ref[b] = seed;
+  };
+  std::vector<uint64_t> fill_tag(256);  // tag of a byte block, by fill
+  for (int fill = 1; fill < 256; ++fill) {
+    const std::vector<std::byte> content =
+        make_bytes(kBs, static_cast<unsigned char>(fill));
+    fill_tag[fill] = fnv1a(content.data(), content.size());
+  }
+  auto ref_block_tag = [&](uint64_t b) -> uint64_t {
+    if (ref[b] == 0) return 0;
+    if (ref[b] > 0) {
+      return PayloadStore::block_tag(static_cast<uint64_t>(ref[b]), b);
+    }
+    return fill_tag[static_cast<size_t>(-ref[b])];
+  };
+
+  for (int iter = 0; iter < 4000; ++iter) {
+    const uint64_t op = rng.uniform(10);
+    if (op < 7) {
+      Stream& st = streams[rng.uniform(kStreams)];
+      const uint64_t nb = 2 + rng.uniform(8);
+      if (st.cursor == 0 || st.cursor + nb > kBlocks) {
+        st.cursor = 1 + rng.uniform(kBlocks - 16);  // (re)start
+      } else {
+        --st.cursor;  // rewrite the stream's last block
+      }
+      write_pattern(st.cursor, std::min(nb, kBlocks - st.cursor), st.seed);
+      st.cursor = std::min(st.cursor + nb, kBlocks - 1);
+    } else {
+      const uint64_t b0 = rng.uniform(kBlocks);
+      const uint64_t nb = 1 + rng.uniform(std::min<uint64_t>(kBlocks - b0, 24));
+      if (op < 9) {
+        const auto fill = static_cast<unsigned char>(1 + rng.uniform(200));
+        store.write_bytes(b0 * kBs, make_bytes(nb * kBs, fill));
+        for (uint64_t b = b0; b < b0 + nb; ++b) ref[b] = -int64_t{fill};
+      } else {
+        write_pattern(b0, nb, streams[rng.uniform(kStreams)].seed);
+      }
+    }
+    const uint64_t r0 = rng.uniform(kBlocks);
+    const uint64_t rn = 1 + rng.uniform(kBlocks - r0);
+    uint64_t expect = 0;
+    for (uint64_t b = r0; b < r0 + rn; ++b) expect += ref_block_tag(b);
+    auto tag = store.read_combined_tag(r0 * kBs, rn * kBs);
+    ASSERT_TRUE(tag.ok());
+    ASSERT_EQ(*tag, expect) << "iter " << iter;
+    uint64_t written_blocks = 0;
+    for (uint64_t b = 0; b < kBlocks; ++b) written_blocks += ref[b] != 0;
+    ASSERT_EQ(store.bytes_stored(), written_blocks * kBs) << "iter " << iter;
+    ASSERT_LE(store.extent_count(), kBlocks);
+  }
 }
 
 // ---------------------------------------------------------------------

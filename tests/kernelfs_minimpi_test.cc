@@ -57,6 +57,30 @@ TEST(LocalFsTest, BadFdRejected) {
   }(fs));
 }
 
+TEST(LocalFsTest, ClosedFdIsRejectedThenReused) {
+  // The fd table is a vector indexed by fd: close frees the slot, IO on
+  // the closed fd fails, and the next open takes the slot back.
+  FsFixture f;
+  LocalFs fs(f.eng, f.ssd, f.nsid);
+  f.eng.run_task([](LocalFs& fs2) -> sim::Task<void> {
+    auto a = co_await fs2.open("/a", true);
+    auto b = co_await fs2.open("/b", true);
+    EXPECT_TRUE(a.ok() && b.ok());
+    if (!a.ok() || !b.ok()) co_return;
+    EXPECT_NE(*a, *b);
+    EXPECT_TRUE((co_await fs2.close(*a)).ok());
+    EXPECT_EQ((co_await fs2.write(*a, 100)).code(), ErrorCode::kBadFd);
+    EXPECT_EQ((co_await fs2.close(*a)).code(), ErrorCode::kBadFd);
+    auto c = co_await fs2.open("/c", true);
+    EXPECT_TRUE(c.ok());
+    if (!c.ok()) co_return;
+    EXPECT_EQ(*c, *a);
+    EXPECT_TRUE((co_await fs2.write(*c, 100)).ok());
+    EXPECT_TRUE((co_await fs2.write(*b, 100)).ok());
+  }(fs));
+  EXPECT_EQ(fs.bytes_written(), 200u);
+}
+
 TEST(LocalFsTest, KernelTimeDominatesIoBoundRun) {
   // For a write+fsync workload nearly all time is inside syscalls —
   // the §IV-D observation for ext4/XFS (76-79% of benchmark time).

@@ -37,13 +37,10 @@
 #include "chaos/campaign.h"
 #include "nvmecr/runtime.h"
 #include "obs/metrics.h"
-#include "offload/pipeline.h"
 #include "obs/observer.h"
-#include "redundancy/engine.h"
-#include "simcore/trace.h"
+#include "offload/pipeline.h"
 #include "resilience/failover.h"
-#include "resilience/health.h"
-#include "resilience/retry.h"
+#include "simcore/trace.h"
 #include "workloads/comd.h"
 
 using namespace nvmecr;
@@ -76,20 +73,22 @@ int usage(const char* argv0) {
   return chaos::kExitUsage;
 }
 
-/// The one command line that reproduces this exact storm.
+/// The one command line that reproduces this exact storm: every flag
+/// that changes the run. A replay takes its faults from the schedule
+/// file, so --kill, --at and --recover-at do not apply there.
 std::string reproducer(const Cli& cli) {
-  if (!cli.schedule.empty()) {
-    return "fault_storm --schedule " + cli.schedule;
+  std::string line = "fault_storm";
+  if (cli.schedule.empty()) {
+    line += " --kill " + std::to_string(cli.kill) + " --at " +
+            std::to_string(cli.at) + " --recover-at " +
+            std::to_string(cli.recover_at);
+  } else {
+    line += " --schedule " + cli.schedule;
   }
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "fault_storm --kill %u --ranks %u --at %lld "
-                "--recover-at %lld --seed %llu%s",
-                cli.kill, cli.ranks, static_cast<long long>(cli.at),
-                static_cast<long long>(cli.recover_at),
-                static_cast<unsigned long long>(cli.seed),
-                cli.offload ? " --offload" : "");
-  return buf;
+  line += " --ranks " + std::to_string(cli.ranks) + " --seed " +
+          std::to_string(cli.seed);
+  if (cli.offload) line += " --offload";
+  return line;
 }
 
 }  // namespace
@@ -181,27 +180,15 @@ int main(int argc, char** argv) {
     return chaos::kExitUsage;
   }
 
-  resilience::HealthMonitor monitor(cluster.engine(), cluster.topology());
-  monitor.set_observer(cluster.observer());
-  nvmecr_rt::RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, resilience::RetryPolicy{}, cli.seed,
-      cluster.observer());
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-
-  redundancy::RedundancyOptions ropts;
-  ropts.scheme = redundancy::Scheme::kPartner;
-  auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
-                                           ropts, config);
-  if (!dep.ok()) {
-    std::fprintf(stderr, "deploy_redundancy failed: %s\n",
-                 dep.status().to_string().c_str());
+  auto deployed = resilience::deploy_resilient(
+      cluster, sched, *job, {}, redundancy::Scheme::kPartner, cli.seed);
+  if (!deployed.ok()) {
+    std::fprintf(stderr, "deploy_resilient failed: %s\n",
+                 deployed.status().to_string().c_str());
     return chaos::kExitInfra;
   }
-
-  resilience::ResilientSystem sys(cluster, sched, *dep->system, monitor,
-                                  *job, config);
-  sys.set_observer(cluster.observer());
+  resilience::ResilientSystem& sys = **deployed;
+  resilience::HealthMonitor& monitor = sys.monitor();
 
   // Optional offload pipeline on top: the targets digest each landed
   // extent until the storm kills them, then the stage falls back to
@@ -264,12 +251,7 @@ int main(int argc, char** argv) {
   const SimTime horizon =
       replay ? replay->params.horizon + 100 * kMillisecond
              : (recovers ? recover_at : kill_at) + 100 * kMillisecond;
-  cluster.engine().spawn(monitor.heartbeat(
-      [&cluster](fabric::NodeId n, SimTime t) {
-        return cluster.storage_node_up(n, t);
-      },
-      horizon));
-  cluster.engine().spawn(sys.healer(horizon));
+  sys.spawn_daemons(horizon);
 
   auto r = workloads::ComdDriver::run(cluster, run_sys, params);
   if (!r.ok()) {

@@ -4,10 +4,7 @@
 #include <utility>
 
 #include "nvmecr/runtime.h"
-#include "redundancy/engine.h"
 #include "resilience/failover.h"
-#include "resilience/health.h"
-#include "resilience/retry.h"
 #include "workloads/apps.h"
 
 namespace nvmecr::chaos {
@@ -97,91 +94,16 @@ AppRunParams campaign_params(const AppSpec& spec, const CampaignConfig& cfg) {
   return p;
 }
 
-/// The full resilient simulation stack of one campaign run, mirroring
-/// examples/fault_storm: retry wrapper -> NVMe-CR runtime -> partner
-/// redundancy -> mid-checkpoint failover.
-struct ChaosStack {
-  nvmecr_rt::Cluster cluster;
-  nvmecr_rt::Scheduler sched;
-  std::optional<nvmecr_rt::JobAllocation> job;
-  std::optional<resilience::HealthMonitor> monitor;
-  std::optional<nvmecr_rt::NvmecrSystem> primary;
-  std::optional<redundancy::RedundantDeployment> dep;
-  std::optional<resilience::ResilientSystem> sys;
-  Status setup_error;
-
-  static nvmecr_rt::ClusterSpec make_spec(const ScheduleParams& sp,
-                                          uint32_t ranks) {
-    nvmecr_rt::ClusterSpec s;
-    s.compute_nodes = ranks;
-    s.storage_nodes = sp.storage_nodes;
-    s.storage_racks = sp.racks;
-    return s;
-  }
-
-  ChaosStack(const CampaignConfig& cfg, const ScheduleParams& sp,
-             uint64_t retry_seed)
-      : cluster(make_spec(sp, cfg.ranks)), sched(cluster) {
-    auto j = sched.allocate(cfg.ranks, /*procs_per_node=*/1, 64_MiB,
-                            sp.storage_nodes);
-    if (!j.ok()) {
-      setup_error = j.status();
-      return;
-    }
-    job = *j;
-    monitor.emplace(cluster.engine(), cluster.topology());
-    nvmecr_rt::RuntimeConfig config;
-    config.device_wrapper = resilience::make_retry_wrapper(
-        cluster.engine(), *monitor, resilience::RetryPolicy{}, retry_seed);
-    primary.emplace(cluster, *job, config);
-    redundancy::RedundancyOptions ropts;
-    ropts.scheme = redundancy::Scheme::kPartner;
-    auto d = redundancy::deploy_redundancy(cluster, sched, *primary, *job,
-                                           ropts, config);
-    if (!d.ok()) {
-      setup_error = d.status();
-      return;
-    }
-    dep.emplace(std::move(*d));
-    sys.emplace(cluster, sched, *dep->system, *monitor, *job, config);
-  }
-
-  /// Arms the management-plane daemons, bounded by `horizon` (must stay
-  /// below the run deadline; see AppRunParams::deadline).
-  void spawn_daemons(SimTime horizon) {
-    cluster.engine().spawn(monitor->heartbeat(
-        [this](fabric::NodeId n, SimTime t) {
-          return cluster.storage_node_up(n, t);
-        },
-        horizon));
-    cluster.engine().spawn(sys->healer(horizon));
-  }
-
-  /// Post-run corruption gate: fsck every live runtime instance of the
-  /// primary and store deployments plus every provisioned failover
-  /// spare. Devices that are (still) unreachable fail the scan with a
-  /// retryable status — reported as such, not as corruption.
-  sim::Task<StatusOr<std::vector<std::string>>> fsck_everything() {
-    std::vector<std::string> issues;
-    auto merge = [&issues](std::vector<std::string> got, const char* tag) {
-      for (std::string& i : got) issues.push_back(std::string(tag) + i);
-    };
-    auto prim = co_await primary->fsck_all();
-    if (!prim.ok()) {
-      co_return StatusOr<std::vector<std::string>>(prim.status());
-    }
-    merge(std::move(*prim), "primary ");
-    auto spares = co_await sys->fsck_spares();
-    if (!spares.ok()) {
-      co_return StatusOr<std::vector<std::string>>(spares.status());
-    }
-    merge(std::move(*spares), "");
-    co_return issues;
-  }
-};
+nvmecr_rt::ClusterSpec cluster_spec(uint32_t ranks, const ScheduleParams& sp) {
+  nvmecr_rt::ClusterSpec s;
+  s.compute_nodes = ranks;
+  s.storage_nodes = sp.storage_nodes;
+  s.storage_racks = sp.racks;
+  return s;
+}
 
 /// try_run_task has no Task<void> overload; give quiesce a result.
-sim::Task<int> quiesce_wrap(redundancy::RedundantSystem& s) {
+sim::Task<int> quiesce_wrap(resilience::ResilientSystem& s) {
   co_await s.quiesce();
   co_return 0;
 }
@@ -194,13 +116,9 @@ const AppRunResult& CampaignRunner::golden() {
     NVMECR_CHECK(spec != nullptr);
     // Clean minimal stack: the golden digests/residuals depend only on
     // (spec, seed, elems, epochs), not on the storage system under it.
-    nvmecr_rt::ClusterSpec cspec;
-    cspec.compute_nodes = cfg_.ranks;
-    cspec.storage_nodes = cfg_.base.storage_nodes;
-    cspec.storage_racks = cfg_.base.racks;
-    nvmecr_rt::Cluster cluster(cspec);
+    nvmecr_rt::Cluster cluster(cluster_spec(cfg_.ranks, cfg_.base));
     nvmecr_rt::Scheduler sched(cluster);
-    auto job = sched.allocate(cfg_.ranks, 1, 64_MiB, cspec.storage_nodes);
+    auto job = sched.allocate(cfg_.ranks, 1, 64_MiB, cfg_.base.storage_nodes);
     NVMECR_CHECK(job.ok());
     nvmecr_rt::NvmecrSystem fast(cluster, *job, nvmecr_rt::RuntimeConfig{});
     AppDriver driver(cluster, fast, *spec, campaign_params(*spec, cfg_));
@@ -222,19 +140,32 @@ RunOutcome CampaignRunner::run_schedule(const FailureSchedule& sched,
   }
   const AppRunResult& gold = golden();
 
-  ChaosStack stack(cfg_, sched.params, /*retry_seed=*/sched.params.seed);
-  if (!stack.setup_error.ok()) {
-    out.status = stack.setup_error;
+  // The full resilient stack, as examples/fault_storm builds it: retry
+  // wrapper -> NVMe-CR runtime -> partner redundancy -> failover.
+  nvmecr_rt::Cluster cluster(cluster_spec(cfg_.ranks, sched.params));
+  nvmecr_rt::Scheduler scheduler(cluster);
+  auto job = scheduler.allocate(cfg_.ranks, /*procs_per_node=*/1, 64_MiB,
+                                sched.params.storage_nodes);
+  if (!job.ok()) {
+    out.status = job.status();
     return out;  // kInfra
   }
-  out.faults = apply_schedule(stack.cluster, sched, subset);
-  const SimTime horizon = sched.params.horizon + cfg_.heal_margin;
-  stack.spawn_daemons(horizon);
+  auto deployed = resilience::deploy_resilient(
+      cluster, scheduler, *job, {}, redundancy::Scheme::kPartner,
+      /*retry_seed=*/sched.params.seed);
+  if (!deployed.ok()) {
+    out.status = deployed.status();
+    return out;  // kInfra
+  }
+  resilience::ResilientSystem& sys = **deployed;
+  out.faults = apply_schedule(cluster, sched, subset);
+  // The daemons stop at horizon + heal_margin, which must stay below the
+  // run deadline (see AppRunParams::deadline).
+  sys.spawn_daemons(sched.params.horizon + cfg_.heal_margin);
 
-  AppDriver driver(stack.cluster, *stack.sys, *spec,
-                   campaign_params(*spec, cfg_));
+  AppDriver driver(cluster, sys, *spec, campaign_params(*spec, cfg_));
   const KillSpec kill = out.faults.kill.value_or(KillSpec{});
-  sim::Engine& eng = stack.cluster.engine();
+  sim::Engine& eng = cluster.engine();
   const SimTime t0 = eng.now();
   auto finish = [&](Verdict v, Status st) {
     out.verdict = v;
@@ -251,11 +182,11 @@ RunOutcome CampaignRunner::run_schedule(const FailureSchedule& sched,
   // Corruption gate, shared by every non-hang path. A hang poisons the
   // engine (stuck coroutine frames), so only non-hang paths may run it.
   auto fsck_gate = [&]() -> std::optional<RunOutcome> {
-    auto quiesced = eng.try_run_task(quiesce_wrap(*stack.dep->system));
+    auto quiesced = eng.try_run_task(quiesce_wrap(sys));
     if (!quiesced.has_value()) {
       return finish(Verdict::kHang, DeadlineExceededError("quiesce hung"));
     }
-    auto report = eng.try_run_task(stack.fsck_everything());
+    auto report = eng.try_run_task(sys.fsck_all());
     if (!report.has_value()) {
       return finish(Verdict::kHang, DeadlineExceededError("fsck hung"));
     }

@@ -1,15 +1,17 @@
 // Chaos campaign runner (DESIGN.md §17): sweeps many seeded failure
 // schedules against an AppDriver workload on the full resilient stack
-// (retry wrapper -> partner redundancy -> mid-checkpoint failover) and
-// enforces the survival trichotomy on every run:
+// (resilience::deploy_resilient: retry wrapper -> partner redundancy ->
+// mid-checkpoint failover) and enforces the survival trichotomy on every
+// run:
 //
 //   1. the run COMPLETES and a restart is verify_restart digest-identical
 //      to the golden run, or
 //   2. it FAILS WITH A TYPED ERROR (an explicit Status, e.g. the fast
 //      tier is gone for good), but
 //   3. it never HANGS (deadline-based deadlock detector on every engine
-//      phase) and never CORRUPTS (post-run microfs fsck over every live
-//      runtime instance and every failover spare).
+//      phase) and never CORRUPTS (post-run microfs fsck over the primary
+//      deployment's live runtime instances and every failover spare; the
+//      partner store is not scanned).
 //
 // Outcomes 1 and 2 are acceptable; a hang, corruption, or digest
 // divergence is a violation. On the first violation the runner shrinks

@@ -12,7 +12,15 @@ InjectionStats apply_schedule(nvmecr_rt::Cluster& cluster,
   InjectionStats stats;
   const uint32_t nodes =
       static_cast<uint32_t>(cluster.storage_nodes().size());
-  const uint32_t racks = std::max(1u, cluster.topology().rack_count());
+  // The generator numbers storage racks from 0; the topology's racks
+  // start with the compute rack.
+  std::vector<fabric::RackId> storage_racks;
+  for (fabric::NodeId n : cluster.storage_nodes()) {
+    const fabric::RackId r = cluster.topology().rack_of(n);
+    if (storage_racks.empty() || storage_racks.back() != r) {
+      storage_racks.push_back(r);
+    }
+  }
   auto in_subset = [subset](uint32_t id) {
     return subset == nullptr ||
            std::find(subset->begin(), subset->end(), id) != subset->end();
@@ -49,7 +57,8 @@ InjectionStats apply_schedule(nvmecr_rt::Cluster& cluster,
       case FaultKind::kPartition: {
         // Rack-granular partition: every storage node in the rack loses
         // fabric connectivity for the window.
-        const uint32_t rack = e.victim % racks;
+        const fabric::RackId rack =
+            storage_racks[e.victim % storage_racks.size()];
         std::vector<fabric::NodeId> members;
         for (fabric::NodeId n : cluster.storage_nodes()) {
           if (cluster.topology().rack_of(n) == rack) members.push_back(n);

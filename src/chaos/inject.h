@@ -27,7 +27,8 @@ struct InjectionStats {
 
 /// Arms `sched`'s events on `cluster`. When `subset` is non-null only
 /// event ids in it are armed (the shrinker's lever); victims wrap modulo
-/// the cluster's actual storage-node / rack counts.
+/// the cluster's actual storage-node / storage-rack counts, and a
+/// partition's victim r is the r-th storage rack in topology order.
 InjectionStats apply_schedule(nvmecr_rt::Cluster& cluster,
                               const FailureSchedule& sched,
                               const std::vector<uint32_t>* subset = nullptr);

@@ -17,26 +17,10 @@ LogLevel log_threshold() {
   return level;
 }
 
-namespace {
-LogTimeSourceFn g_time_fn = nullptr;
-const void* g_time_ctx = nullptr;
-}  // namespace
-
-void log_set_time_source(LogTimeSourceFn fn, const void* ctx) {
-  g_time_fn = fn;
-  g_time_ctx = fn != nullptr ? ctx : nullptr;
-}
-
-const void* log_time_source_ctx() { return g_time_ctx; }
-
 void log_message_tagged(LogLevel level, const char* subsystem, const char* fmt,
                         ...) {
   if (static_cast<int>(level) < static_cast<int>(log_threshold())) return;
   static const char* names[] = {"DEBUG", "INFO", "WARN"};
-  if (g_time_fn != nullptr) {
-    const double ms = static_cast<double>(g_time_fn(g_time_ctx)) / 1e6;
-    std::fprintf(stderr, "[%.3fms] ", ms);
-  }
   std::fprintf(stderr, "[%s] ", names[static_cast<int>(level)]);
   if (subsystem != nullptr) std::fprintf(stderr, "[%s] ", subsystem);
   va_list args;

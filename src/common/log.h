@@ -1,15 +1,13 @@
 // Minimal leveled diagnostic logging. Off by default so bench output stays
 // clean; enable with NVMECR_LOG=debug|info|warn in the environment.
 //
-// When a simulation is running, the owning Cluster installs a time source
-// (log_set_time_source) so every line is prefixed with the sim clock, e.g.
-//   [12.345ms] [WARN] [oplog] ring full, forcing hugeblock flush
-// which lets log lines be correlated with trace spans. The tagged macros
-// NVMECR_SLOG_* additionally name the emitting subsystem.
+// The tagged macros NVMECR_SLOG_* name the emitting subsystem, e.g.
+//   [WARN] [oplog] operation log hole after lsn 41; ...
+// Lines carry no clock prefix: a log site that needs the sim time
+// formats its own engine's now() into the message.
 #pragma once
 
 #include <cstdarg>
-#include <cstdint>
 #include <cstdio>
 
 namespace nvmecr {
@@ -18,19 +16,6 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kOff = 3 };
 
 /// Current threshold, parsed once from $NVMECR_LOG.
 LogLevel log_threshold();
-
-/// Clock callback returning the current sim time in nanoseconds. A plain
-/// C function pointer (not std::function) so common/ stays free of any
-/// dependency on simcore; the installer passes an opaque context.
-using LogTimeSourceFn = uint64_t (*)(const void* ctx);
-
-/// Installs (or with fn == nullptr, removes) the timestamp source used to
-/// prefix log lines. `ctx` is handed back to `fn` verbatim.
-void log_set_time_source(LogTimeSourceFn fn, const void* ctx);
-
-/// The context currently installed (nullptr if none). Lets an owner clear
-/// the source only if it is still its own (nested clusters).
-const void* log_time_source_ctx();
 
 /// printf-style log statement; no-op below the threshold. `subsystem` is
 /// an optional tag printed after the level (nullptr to omit).

@@ -983,7 +983,9 @@ void MicroFs::maybe_spawn_checkpoint() {
     if (lifetime.expired()) co_return;
     Status s = co_await fs->checkpoint_state();
     if (!s.ok()) {
-      NVMECR_SLOG_WARN("microfs", "background state checkpoint failed: %s",
+      NVMECR_SLOG_WARN("microfs",
+                       "background state checkpoint failed at %.3f ms: %s",
+                       static_cast<double>(fs->engine_.now()) / 1e6,
                        s.to_string().c_str());
     }
   }(this, lifetime_));
@@ -1215,8 +1217,10 @@ sim::Task<StatusOr<std::unique_ptr<MicroFs>>> MicroFs::recover(
     if (rec.lsn != prev_lsn + 1) {
       NVMECR_SLOG_WARN(
           "oplog",
-          "operation log hole after lsn %llu; discarding %zu later records",
+          "operation log hole after lsn %llu at %.3f ms; discarding %zu "
+          "later records",
           static_cast<unsigned long long>(prev_lsn),
+          static_cast<double>(engine.now()) / 1e6,
           scanned->size() - applied.size());
       break;
     }

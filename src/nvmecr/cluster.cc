@@ -1,20 +1,9 @@
 #include "nvmecr/cluster.h"
 
-#include "common/log.h"
 #include "simcore/profile.h"
 #include "simcore/trace.h"
 
 namespace nvmecr::nvmecr_rt {
-
-namespace {
-/// Logging time source: a captureless bridge from the C callback in
-/// common/log to this cluster's engine.
-uint64_t cluster_log_now(const void* ctx) {
-  const auto* engine = static_cast<const sim::Engine*>(ctx);
-  const SimTime now = engine->now();
-  return now > 0 ? static_cast<uint64_t>(now) : 0;
-}
-}  // namespace
 
 Cluster::Cluster(ClusterSpec spec)
     : spec_(spec),
@@ -50,17 +39,6 @@ Cluster::Cluster(ClusterSpec spec)
   // this cluster's frames, not prior runs in the same process.
   exported_frames_allocated_ = sim::frame_allocations();
   exported_frames_recycled_ = sim::frames_recycled();
-  // Prefix log lines with this cluster's sim clock so they correlate
-  // with trace spans.
-  log_set_time_source(&cluster_log_now, &engine_);
-}
-
-Cluster::~Cluster() {
-  // Detach the logging clock, but only if it is still ours (a nested or
-  // later-built cluster may have replaced it).
-  if (log_time_source_ctx() == &engine_) {
-    log_set_time_source(nullptr, nullptr);
-  }
 }
 
 void Cluster::install_observer(const obs::Observer& o) {

@@ -46,7 +46,6 @@ struct ClusterSpec {
 class Cluster {
  public:
   explicit Cluster(ClusterSpec spec = {});
-  ~Cluster();
 
   sim::Engine& engine() { return engine_; }
   const fabric::Topology& topology() const { return topo_; }
@@ -93,8 +92,7 @@ class Cluster {
   /// Installs trace/metrics sinks on the whole testbed — network, every
   /// SSD, every NVMf target — and keeps a copy that runtime systems
   /// built on this cluster (NvmecrSystem) pick up for per-rank
-  /// instrumentation. Also points the logging timestamp prefix at this
-  /// cluster's sim clock. Pass {} to detach.
+  /// instrumentation. Pass {} to detach.
   void install_observer(const obs::Observer& o);
   const obs::Observer& observer() const { return observer_; }
 

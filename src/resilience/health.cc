@@ -21,6 +21,14 @@ const char* target_state_name(TargetState s) {
   return "?";
 }
 
+HealthMonitor::HealthMonitor(nvmecr_rt::Cluster& cluster, HealthParams params)
+    : cluster_(cluster), params_(params), obs_(cluster.observer()) {
+  if (obs_.metrics != nullptr) {
+    m_deaths_ = obs_.metrics->counter("resilience.deaths");
+    m_false_alarms_ = obs_.metrics->counter("resilience.false_alarms");
+  }
+}
+
 void HealthMonitor::track(fabric::NodeId node) {
   targets_.emplace(node, Target{});
 }
@@ -29,7 +37,7 @@ void HealthMonitor::transition(fabric::NodeId node, Target& t,
                                TargetState next) {
   if (t.state == next) return;
   if (next == TargetState::kDead) {
-    t.dead_since = engine_.now();
+    t.dead_since = cluster_.engine().now();
     if (m_deaths_ != nullptr) m_deaths_->add();
   }
   if (t.state == TargetState::kSuspect && next == TargetState::kHealthy &&
@@ -42,7 +50,7 @@ void HealthMonitor::transition(fabric::NodeId node, Target& t,
     obs_.trace->add_instant(
         "resilience/health",
         "node" + std::to_string(node) + ":" + target_state_name(next),
-        engine_.now());
+        cluster_.engine().now());
   }
 }
 
@@ -117,7 +125,7 @@ std::vector<fabric::RackId> HealthMonitor::dead_domains() const {
   std::vector<fabric::RackId> out;
   for (const auto& [node, t] : targets_) {
     if (t.state != TargetState::kDead) continue;
-    const fabric::RackId d = topology_.failure_domain(node);
+    const fabric::RackId d = cluster_.topology().failure_domain(node);
     if (std::find(out.begin(), out.end(), d) == out.end()) out.push_back(d);
   }
   std::sort(out.begin(), out.end());
@@ -133,25 +141,14 @@ std::vector<fabric::NodeId> HealthMonitor::nodes_in_state(
   return out;
 }
 
-void HealthMonitor::set_observer(const obs::Observer& o) {
-  obs_ = o;
-  if (obs_.metrics != nullptr) {
-    m_deaths_ = obs_.metrics->counter("resilience.deaths");
-    m_false_alarms_ = obs_.metrics->counter("resilience.false_alarms");
-  } else {
-    m_deaths_ = nullptr;
-    m_false_alarms_ = nullptr;
-  }
-}
-
-sim::Task<void> HealthMonitor::heartbeat(
-    std::function<bool(fabric::NodeId, SimTime)> alive_probe, SimTime until) {
-  while (engine_.now() + params_.heartbeat_period <= until) {
-    co_await engine_.delay(params_.heartbeat_period);
+sim::Task<void> HealthMonitor::heartbeat(SimTime until) {
+  sim::Engine& engine = cluster_.engine();
+  while (engine.now() + params_.heartbeat_period <= until) {
+    co_await engine.delay(params_.heartbeat_period);
     // std::map iteration: probes fire in node order, deterministically.
     for (auto& [node, t] : targets_) {
       (void)t;
-      if (alive_probe(node, engine_.now())) {
+      if (cluster_.storage_node_up(node, engine.now())) {
         note_ok(node);
       } else {
         note_miss(node);

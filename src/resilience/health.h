@@ -31,12 +31,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
 #include "common/units.h"
-#include "fabric/topology.h"
+#include "nvmecr/cluster.h"
 #include "obs/observer.h"
 #include "simcore/engine.h"
 
@@ -56,9 +55,13 @@ struct HealthParams {
 
 class HealthMonitor {
  public:
-  HealthMonitor(sim::Engine& engine, const fabric::Topology& topology,
-                HealthParams params = {})
-      : engine_(engine), topology_(topology), params_(params) {}
+  /// Watches `cluster`'s storage targets. Metric instruments
+  /// ("resilience.*") and health instants go to the observer installed
+  /// on the cluster at construction.
+  explicit HealthMonitor(nvmecr_rt::Cluster& cluster, HealthParams params = {});
+  // Retrying devices keep a reference to the monitor they report into.
+  HealthMonitor(const HealthMonitor&) = delete;
+  HealthMonitor& operator=(const HealthMonitor&) = delete;
 
   const HealthParams& params() const { return params_; }
 
@@ -97,17 +100,13 @@ class HealthMonitor {
   /// Total state transitions (a cheap determinism fingerprint).
   uint64_t transitions() const { return transitions_; }
 
-  /// Caches metric instruments ("resilience.*"). Pass {} to detach.
-  void set_observer(const obs::Observer& o);
-
   /// Bounded heartbeat daemon: every heartbeat_period until sim-time
-  /// `until`, probes each tracked target with `alive_probe(node, now)`
-  /// and feeds the result in as note_ok / note_miss. Bounded so that the
-  /// engine still reaches quiescence (Engine::run() runs until no events
-  /// remain — a free-running periodic task would never let it return).
-  sim::Task<void> heartbeat(
-      std::function<bool(fabric::NodeId, SimTime)> alive_probe,
-      SimTime until);
+  /// `until`, probes each tracked target with
+  /// Cluster::storage_node_up(node, now) and feeds the result in as
+  /// note_ok / note_miss. Bounded so that the engine still reaches
+  /// quiescence (Engine::run() runs until no events remain — a
+  /// free-running periodic task would never let it return).
+  sim::Task<void> heartbeat(SimTime until);
 
  private:
   struct Target {
@@ -118,8 +117,7 @@ class HealthMonitor {
 
   void transition(fabric::NodeId node, Target& t, TargetState next);
 
-  sim::Engine& engine_;
-  const fabric::Topology& topology_;
+  nvmecr_rt::Cluster& cluster_;
   HealthParams params_;
   std::map<fabric::NodeId, Target> targets_;  // sorted: deterministic scans
   uint64_t transitions_ = 0;

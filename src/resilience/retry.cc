@@ -61,22 +61,4 @@ sim::Task<Status> RetryDevice::submit(hw::IoCmd cmd, uint64_t* tag) {
   }
 }
 
-std::function<std::unique_ptr<hw::BlockDevice>(
-    std::unique_ptr<hw::BlockDevice>, fabric::NodeId, uint32_t)>
-make_retry_wrapper(sim::Engine& engine, HealthMonitor& monitor,
-                   RetryPolicy policy, uint64_t seed, obs::Observer observer) {
-  return [&engine, &monitor, policy, seed, observer](
-             std::unique_ptr<hw::BlockDevice> dev, fabric::NodeId node,
-             uint32_t rank) -> std::unique_ptr<hw::BlockDevice> {
-    // Per-device stream keyed by (seed, node, rank): jitter draws of one
-    // device never shift another's regardless of connect order.
-    const uint64_t dev_seed =
-        mix64(seed ^ mix64((static_cast<uint64_t>(node) << 32) | rank));
-    auto wrapped = std::make_unique<RetryDevice>(
-        engine, std::move(dev), monitor, node, policy, dev_seed);
-    wrapped->set_observer(observer);
-    return wrapped;
-  };
-}
-
 }  // namespace nvmecr::resilience

@@ -1,12 +1,13 @@
 // Retry with exponential backoff for the remote data path (DESIGN.md §13).
 //
-// RetryDevice wraps the per-rank NVMf qpair BlockDevice (installed via
-// RuntimeConfig::device_wrapper) and retries RETRYABLE errors — transport
-// timeouts, unreachable targets, typed-unavailable — with exponential
-// backoff plus deterministic seeded jitter, under a per-operation
-// deadline. Fatal errors (corruption, invalid argument, plain IO errors
-// from fail_device-style injection) pass through on the first attempt:
-// retrying those would only mask bugs.
+// RetryDevice wraps the per-rank NVMf qpair BlockDevice (deploy_resilient
+// installs it through RuntimeConfig::device_wrapper) and retries
+// RETRYABLE errors — transport timeouts, unreachable targets,
+// typed-unavailable — with exponential backoff plus deterministic seeded
+// jitter, under a per-operation deadline. Fatal errors (corruption,
+// invalid argument, plain IO errors from fail_device-style injection)
+// pass through on the first attempt: retrying those would only mask
+// bugs.
 //
 // Every outcome feeds the HealthMonitor: success is proof of life
 // (note_ok), a retryable failure is one miss (note_miss), and an
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/rng.h"
@@ -81,16 +81,5 @@ class RetryDevice final : public hw::BlockDevice {
   uint64_t retries_ = 0;
   obs::Counter* m_retries_ = nullptr;
 };
-
-/// Factory for RuntimeConfig::device_wrapper: wraps every remote qpair
-/// device of a job in a RetryDevice reporting into `monitor`. Tracks each
-/// storage node on first sight. Seeds the per-device jitter stream from
-/// (seed, node, rank) so runs are reproducible regardless of connect
-/// order.
-std::function<std::unique_ptr<hw::BlockDevice>(
-    std::unique_ptr<hw::BlockDevice>, fabric::NodeId, uint32_t)>
-make_retry_wrapper(sim::Engine& engine, HealthMonitor& monitor,
-                   RetryPolicy policy, uint64_t seed,
-                   obs::Observer observer = {});
 
 }  // namespace nvmecr::resilience

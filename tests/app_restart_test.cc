@@ -32,8 +32,6 @@
 #include "redundancy/engine.h"
 #include "redundancy/reconstruct.h"
 #include "resilience/failover.h"
-#include "resilience/health.h"
-#include "resilience/retry.h"
 #include "workloads/app_driver.h"
 #include "workloads/apps.h"
 
@@ -403,13 +401,9 @@ TEST(FourPathRestoreTest, FailoverSpareRestoresIdentically) {
   Scheduler sched(cluster);
   auto job = sched.allocate(ranks, /*procs_per_node=*/1, 256_MiB, ranks);
   ASSERT_TRUE(job.ok());
-  resilience::HealthMonitor monitor(cluster.engine(), cluster.topology());
-  nvmecr_rt::RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, resilience::RetryPolicy{}, /*seed=*/42);
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  resilience::ResilientSystem sys(cluster, sched, primary, monitor, *job,
-                                  config);
+  auto deployed = resilience::deploy_resilient(cluster, sched, *job);
+  ASSERT_TRUE(deployed.ok()) << deployed.status().to_string();
+  resilience::ResilientSystem& sys = **deployed;
 
   AppDriver driver(cluster, sys, spec, test_params(spec, ranks, epochs));
 

@@ -25,30 +25,13 @@ using namespace nvmecr::literals;
 // threshold, which is read once per process)
 // ---------------------------------------------------------------------
 
-uint64_t fake_clock(const void* ctx) {
-  return *static_cast<const uint64_t*>(ctx);
-}
-
-TEST(LogTest, PrefixesSimTimeAndSubsystem) {
+TEST(LogTest, PrefixesLevelAndSubsystem) {
   setenv("NVMECR_LOG", "warn", /*overwrite=*/1);
-  const uint64_t now_ns = 12345678;  // 12.346 ms
-  log_set_time_source(&fake_clock, &now_ns);
   testing::internal::CaptureStderr();
   NVMECR_SLOG_WARN("oplog", "ring %d%% full", 93);
   NVMECR_LOG_WARN("untagged %s", "line");
-  std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("[12.346ms] [WARN] [oplog] ring 93% full\n"),
-            std::string::npos)
-      << err;
-  EXPECT_NE(err.find("[12.346ms] [WARN] untagged line\n"), std::string::npos);
-
-  // Without a time source the prefix is omitted entirely.
-  log_set_time_source(nullptr, nullptr);
-  EXPECT_EQ(log_time_source_ctx(), nullptr);
-  testing::internal::CaptureStderr();
-  NVMECR_SLOG_WARN("microfs", "plain");
-  err = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(err, "[WARN] [microfs] plain\n");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] [oplog] ring 93% full\n[WARN] untagged line\n");
 
   // Below-threshold levels stay silent.
   testing::internal::CaptureStderr();

@@ -19,9 +19,7 @@
 #include "nvmecr/runtime.h"
 #include "obs/metrics.h"
 #include "offload/pipeline.h"
-#include "redundancy/engine.h"
 #include "resilience/failover.h"
-#include "resilience/health.h"
 #include "resilience/retry.h"
 #include "simcore/trace.h"
 #include "workloads/comd.h"
@@ -32,12 +30,11 @@ namespace {
 using namespace nvmecr::literals;
 using nvmecr_rt::Cluster;
 using nvmecr_rt::ClusterSpec;
-using nvmecr_rt::JobAllocation;
 using nvmecr_rt::RuntimeConfig;
 using nvmecr_rt::Scheduler;
+using resilience::deploy_resilient;
 using resilience::HealthMonitor;
 using resilience::HealthParams;
-using resilience::ResilienceOptions;
 using resilience::ResilientSystem;
 using resilience::RetryPolicy;
 using resilience::TargetState;
@@ -128,11 +125,10 @@ class ProbeDevice final : public hw::BlockDevice {
 // batch size reach the device unchanged on every attempt, and the tag of
 // the successful attempt comes back.
 TEST(RetryDeviceTest, ResubmitsTheSameCommand) {
-  sim::Engine eng;
-  const fabric::Topology topo = fabric::Topology::paper_testbed();
-  const fabric::NodeId node =
-      topo.nodes_with_role(fabric::NodeRole::kStorage)[0];
-  HealthMonitor monitor(eng, topo);
+  Cluster cluster(make_spec(1, 1));
+  sim::Engine& eng = cluster.engine();
+  const fabric::NodeId node = cluster.storage_nodes()[0];
+  HealthMonitor monitor(cluster);
   auto owned = std::make_unique<ProbeDevice>();
   ProbeDevice& probe = *owned;
   resilience::RetryDevice dev(eng, std::move(owned), monitor, node,
@@ -244,15 +240,10 @@ TEST(HysteresisTest, TenXStragglerIsNotFailedOver) {
   Scheduler sched(cluster);
   auto job = sched.allocate(1, 1, 64_MiB, 1);
   ASSERT_TRUE(job.ok());
+  auto sys = deploy_resilient(cluster, sched, *job).value();
+  HealthMonitor& monitor = sys->monitor();
 
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
-  RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42);
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
-
-  const fabric::NodeId node = sys.primary_node_of(0);
+  const fabric::NodeId node = sys->primary_node_of(0);
   cluster.storage_ssd(cluster.storage_ssd_index(node))
       .set_straggler(10.0, /*from=*/0, /*until=*/SimTime(1) << 60);
 
@@ -264,11 +255,11 @@ TEST(HysteresisTest, TenXStragglerIsNotFailedOver) {
         EXPECT_TRUE((co_await write_file(**c, "/slow", 8_MiB)).ok());
         EXPECT_EQ(m.state(n), TargetState::kHealthy);
         EXPECT_TRUE((co_await read_file(**c, "/slow", 8_MiB)).ok());
-      }(sys, monitor, node));
+      }(*sys, monitor, node));
 
   EXPECT_EQ(monitor.state(node), TargetState::kHealthy);
   EXPECT_EQ(monitor.dead_since(node), 0);
-  EXPECT_EQ(sys.failovers(), 0u);
+  EXPECT_EQ(sys->failovers(), 0u);
 }
 
 // A crashed target must be declared dead within the detection window:
@@ -280,16 +271,9 @@ TEST(HysteresisTest, CrashedTargetDeclaredDeadDeterministically) {
     Scheduler sched(cluster);
     auto job = sched.allocate(1, 1, 64_MiB, 1);
     NVMECR_CHECK(job.ok());
+    auto sys = deploy_resilient(cluster, sched, *job).value();
 
-    HealthMonitor monitor(cluster.engine(), cluster.topology());
-    RetryPolicy policy;
-    RuntimeConfig config;
-    config.device_wrapper = resilience::make_retry_wrapper(
-        cluster.engine(), monitor, policy, /*seed=*/42);
-    nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-    ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
-
-    const fabric::NodeId node = sys.primary_node_of(0);
+    const fabric::NodeId node = sys->primary_node_of(0);
     hw::NvmeSsd& ssd = cluster.storage_ssd(cluster.storage_ssd_index(node));
     ssd.schedule_crash(crash_at);
 
@@ -303,10 +287,11 @@ TEST(HysteresisTest, CrashedTargetDeclaredDeadDeterministically) {
           // The checkpoint stream keeps flowing; the resilience layer
           // absorbs the death (detection + failover to a spare).
           EXPECT_TRUE((co_await write_file(*client, "/ckpt", 4_MiB)).ok());
-        }(cluster, sys, crash_at));
+        }(cluster, *sys, crash_at));
 
-    NVMECR_CHECK(monitor.dead_since(node) != 0);
-    return {monitor.dead_since(node), sys.failovers()};
+    const SimTime dead_since = sys->monitor().dead_since(node);
+    NVMECR_CHECK(dead_since != 0);
+    return {dead_since, sys->failovers()};
   };
 
   const SimTime crash_at = 2 * kMillisecond;
@@ -336,20 +321,15 @@ TEST(HysteresisTest, CrashedTargetDeclaredDeadDeterministically) {
 // back to dead.
 TEST(HysteresisTest, HeartbeatStateMachine) {
   Cluster cluster(make_spec(2, 2));
-  HealthMonitor monitor(cluster.engine(), cluster.topology(),
-                        HealthParams{.dead_after_misses = 3,
-                                     .heartbeat_period = 100'000});
+  HealthMonitor monitor(cluster, HealthParams{.dead_after_misses = 3,
+                                              .heartbeat_period = 100'000});
   const fabric::NodeId node = cluster.storage_nodes()[0];
   monitor.track(node);
 
   nvmf::NvmfTarget& target = cluster.target(0);
   target.schedule_crash(/*at=*/150'000, /*recover_at=*/650'000);
 
-  cluster.engine().spawn(monitor.heartbeat(
-      [&](fabric::NodeId n, SimTime t) {
-        return cluster.storage_node_up(n, t);
-      },
-      /*until=*/1 * kMillisecond));
+  cluster.engine().spawn(monitor.heartbeat(/*until=*/1 * kMillisecond));
   cluster.engine().run();
 
   // Probes at 100us (ok), 200/300/400us (miss -> suspect -> dead at the
@@ -388,12 +368,9 @@ TEST(HysteresisTest, FlappingTargetConvergesWithBoundedFalseAlarms) {
   auto run_flap_scenario = [&]() {
     Cluster cluster(make_spec(2, 2));
     obs::MetricsRegistry metrics;
-    obs::Observer o;
-    o.metrics = &metrics;
-    HealthMonitor monitor(cluster.engine(), cluster.topology(),
-                          HealthParams{.dead_after_misses = 3,
-                                       .heartbeat_period = 100'000});
-    monitor.set_observer(o);
+    cluster.install_observer({nullptr, &metrics});
+    HealthMonitor monitor(cluster, HealthParams{.dead_after_misses = 3,
+                                                .heartbeat_period = 100'000});
     const fabric::NodeId node = cluster.storage_nodes()[0];
     monitor.track(node);
 
@@ -410,11 +387,8 @@ TEST(HysteresisTest, FlappingTargetConvergesWithBoundedFalseAlarms) {
     const SimTime real = static_cast<SimTime>(kFlaps) * 600'000;
     target.schedule_crash(real + 150'000, real + 450'000);
 
-    cluster.engine().spawn(monitor.heartbeat(
-        [&](fabric::NodeId n, SimTime t) {
-          return cluster.storage_node_up(n, t);
-        },
-        /*until=*/real + 1 * kMillisecond));
+    cluster.engine().spawn(
+        monitor.heartbeat(/*until=*/real + 1 * kMillisecond));
     cluster.engine().run();
 
     EXPECT_EQ(monitor.state(node), TargetState::kHealing);
@@ -498,13 +472,7 @@ TEST(BalancerExcludeTest, PartnerDomainAlsoDeadSurfacesExhaustion) {
   Scheduler sched(cluster);
   auto job = sched.allocate(1, 1, 64_MiB, 1);
   ASSERT_TRUE(job.ok());
-
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
-  RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42);
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
+  auto sys = deploy_resilient(cluster, sched, *job).value();
 
   // Connect while healthy, then kill every storage domain: primary AND
   // its only partner. The write must fail typed, not hang.
@@ -521,7 +489,7 @@ TEST(BalancerExcludeTest, PartnerDomainAlsoDeadSurfacesExhaustion) {
         }
         NVMECR_CHECK(m.dead_domains().size() == 2);
         co_return co_await write_file(**c, "/doomed", 1_MiB);
-      }(cluster, sys, monitor));
+      }(cluster, *sys, sys->monitor()));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.code(), ErrorCode::kUnavailable)
       << result.to_string();
@@ -537,28 +505,14 @@ TEST(FailoverTest, MidCheckpointPivotThenHealRestoresPrimary) {
   Scheduler sched(cluster);
   auto job = sched.allocate(1, 1, 64_MiB, 1);
   ASSERT_TRUE(job.ok());
+  auto sys = deploy_resilient(cluster, sched, *job).value();
 
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
-  monitor.set_observer(cluster.observer());
-  RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42,
-      cluster.observer());
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
-  sys.set_observer(cluster.observer());
-
-  const fabric::NodeId node = sys.primary_node_of(0);
+  const fabric::NodeId node = sys->primary_node_of(0);
   hw::NvmeSsd& ssd = cluster.storage_ssd(cluster.storage_ssd_index(node));
   const SimTime recover_at = 80 * kMillisecond;
 
   // Heartbeat (probes the device) + healer, both bounded.
-  cluster.engine().spawn(monitor.heartbeat(
-      [&cluster](fabric::NodeId n, SimTime t) {
-        return cluster.storage_node_up(n, t);
-      },
-      /*until=*/200 * kMillisecond));
-  cluster.engine().spawn(sys.healer(/*until=*/200 * kMillisecond));
+  sys->spawn_daemons(/*until=*/200 * kMillisecond);
 
   std::unique_ptr<baselines::StorageClient> client;
   cluster.engine().run_task(
@@ -581,26 +535,26 @@ TEST(FailoverTest, MidCheckpointPivotThenHealRestoresPrimary) {
         EXPECT_TRUE((co_await cl.close(*fd)).ok());
         // Degraded restart read works immediately (served by the spare).
         EXPECT_TRUE((co_await read_file(cl, "/mid", 4_MiB)).ok());
-      }(cluster, sys, ssd, recover_at, client));
+      }(cluster, *sys, ssd, recover_at, client));
 
   // The checkpoint completed in degraded mode and was then healed: the
   // engine ran past recover_at (heartbeat flipped the node to healing,
   // the healer rewrote the file through the primary chain).
-  EXPECT_GE(sys.failovers(), 1u);
-  const resilience::DegradedEntry* e = sys.degraded_entry(0, "/mid");
+  EXPECT_GE(sys->failovers(), 1u);
+  const resilience::DegradedEntry* e = sys->degraded_entry(0, "/mid");
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->complete);
   EXPECT_EQ(e->bytes, 4_MiB);
   EXPECT_EQ(e->state, resilience::DegradedState::kHealed);
-  EXPECT_EQ(sys.healed_bytes(), 4_MiB);
-  EXPECT_EQ(monitor.state(node), TargetState::kHealthy);
+  EXPECT_EQ(sys->healed_bytes(), 4_MiB);
+  EXPECT_EQ(sys->monitor().state(node), TargetState::kHealthy);
 
   // Nothing is left degraded once the healer finished.
-  EXPECT_TRUE(sys.degraded_ranks().empty());
+  EXPECT_TRUE(sys->degraded_ranks().empty());
 
   // Metrics flowed through the registry.
   EXPECT_EQ(metrics.find_counter("resilience.failovers")->value(),
-            sys.failovers());
+            sys->failovers());
   EXPECT_EQ(metrics.find_counter("resilience.heal_bytes")->value(), 4_MiB);
   EXPECT_GE(metrics.find_counter("resilience.deaths")->value(), 1u);
 
@@ -626,27 +580,13 @@ TEST(FailoverTest, TraceCapturesPivotMarkersAndOverlappingSpans) {
   Scheduler sched(cluster);
   auto job = sched.allocate(1, 1, 64_MiB, 1);
   ASSERT_TRUE(job.ok());
+  auto sys = deploy_resilient(cluster, sched, *job).value();
 
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
-  monitor.set_observer(cluster.observer());
-  RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42,
-      cluster.observer());
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
-  sys.set_observer(cluster.observer());
-
-  const fabric::NodeId node = sys.primary_node_of(0);
+  const fabric::NodeId node = sys->primary_node_of(0);
   hw::NvmeSsd& ssd = cluster.storage_ssd(cluster.storage_ssd_index(node));
   const SimTime recover_at = 80 * kMillisecond;
 
-  cluster.engine().spawn(monitor.heartbeat(
-      [&cluster](fabric::NodeId n, SimTime t) {
-        return cluster.storage_node_up(n, t);
-      },
-      /*until=*/200 * kMillisecond));
-  cluster.engine().spawn(sys.healer(/*until=*/200 * kMillisecond));
+  sys->spawn_daemons(/*until=*/200 * kMillisecond);
 
   cluster.engine().run_task(
       [](Cluster& c, ResilientSystem& s, hw::NvmeSsd& dev,
@@ -662,8 +602,8 @@ TEST(FailoverTest, TraceCapturesPivotMarkersAndOverlappingSpans) {
         EXPECT_TRUE((co_await cl.fsync(*fd)).ok());
         EXPECT_TRUE((co_await cl.close(*fd)).ok());
         EXPECT_TRUE((co_await read_file(cl, "/mid", 2_MiB)).ok());
-      }(cluster, sys, ssd, recover_at));
-  ASSERT_GE(sys.failovers(), 1u);
+      }(cluster, *sys, ssd, recover_at));
+  ASSERT_GE(sys->failovers(), 1u);
 
   const std::string json = trace.to_json();
   // Pivot marker and health-state instants line up on their tracks.
@@ -723,15 +663,9 @@ TEST(FailoverTest, StraightToSpareCheckpointReadsBackThroughSession) {
   Scheduler sched(cluster);
   auto job = sched.allocate(1, 1, 64_MiB, 1);
   ASSERT_TRUE(job.ok());
+  auto sys = deploy_resilient(cluster, sched, *job).value();
 
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
-  RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42);
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
-
-  const fabric::NodeId node = sys.primary_node_of(0);
+  const fabric::NodeId node = sys->primary_node_of(0);
 
   cluster.engine().run_task(
       [](Cluster& cl, ResilientSystem& s, fabric::NodeId n) -> sim::Task<void> {
@@ -744,10 +678,10 @@ TEST(FailoverTest, StraightToSpareCheckpointReadsBackThroughSession) {
         s.monitor().note_exhausted(n);
         EXPECT_TRUE((co_await write_file(session, "/deg", 2_MiB)).ok());
         EXPECT_TRUE((co_await read_file(session, "/deg", 2_MiB)).ok());
-      }(cluster, sys, node));
+      }(cluster, *sys, node));
 
-  EXPECT_GE(sys.failovers(), 1u);
-  const resilience::DegradedEntry* e = sys.degraded_entry(0, "/deg");
+  EXPECT_GE(sys->failovers(), 1u);
+  const resilience::DegradedEntry* e = sys->degraded_entry(0, "/deg");
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->complete);
   EXPECT_EQ(e->state, resilience::DegradedState::kDegraded);
@@ -793,24 +727,11 @@ StormOutcome run_fault_storm(uint32_t kill, SimTime kill_at,
   auto job = sched.allocate(params.nranks, params.procs_per_node, 64_MiB,
                             /*num_ssds=*/8);
   NVMECR_CHECK(job.ok());
-
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
-  monitor.set_observer(cluster.observer());
-  RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42,
-      cluster.observer());
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-
-  redundancy::RedundancyOptions ropts;
-  ropts.scheme = redundancy::Scheme::kPartner;
-  auto dep =
-      redundancy::deploy_redundancy(cluster, sched, primary, *job, ropts,
-                                    config);
-  NVMECR_CHECK(dep.ok());
-
-  ResilientSystem sys(cluster, sched, *dep->system, monitor, *job, config);
-  sys.set_observer(cluster.observer());
+  auto deployed = deploy_resilient(cluster, sched, *job, {},
+                                   redundancy::Scheme::kPartner)
+                      .value();
+  ResilientSystem& sys = *deployed;
+  HealthMonitor& monitor = sys.monitor();
 
   // Kill the first `kill` primary targets mid-checkpoint; they come back
   // later and get healed.
@@ -824,13 +745,7 @@ StormOutcome run_fault_storm(uint32_t kill, SimTime kill_at,
         .schedule_crash(kill_at, recover_at);
   }
 
-  const SimTime horizon = recover_at + 100 * kMillisecond;
-  cluster.engine().spawn(monitor.heartbeat(
-      [&cluster](fabric::NodeId n, SimTime t) {
-        return cluster.storage_node_up(n, t);
-      },
-      horizon));
-  cluster.engine().spawn(sys.healer(horizon));
+  sys.spawn_daemons(/*until=*/recover_at + 100 * kMillisecond);
 
   auto r = workloads::ComdDriver::run(cluster, sys, params);
   out.ok = r.ok();
@@ -909,23 +824,19 @@ DegradedRun run_comd_resilient(bool kill_first) {
                             /*num_ssds=*/8);
   NVMECR_CHECK(job.ok());
 
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
   RuntimeConfig config;
   config.fs.io_batch_hugeblocks = 256;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42);
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
+  auto sys = deploy_resilient(cluster, sched, *job, config).value();
   if (kill_first) {
     const fabric::NodeId victim = job->assignment.ssd_nodes[0];
     const uint32_t idx = cluster.storage_ssd_index(victim);
     cluster.storage_ssd(idx).schedule_crash(0);
     cluster.target(idx).schedule_crash(0);
-    monitor.note_exhausted(victim);  // detection already converged
+    sys->monitor().note_exhausted(victim);  // detection already converged
   }
-  auto m = workloads::ComdDriver::run(cluster, sys, params);
+  auto m = workloads::ComdDriver::run(cluster, *sys, params);
   NVMECR_CHECK(m.ok());
-  return {m->total_time, sys.failovers()};
+  return {m->total_time, sys->failovers()};
 }
 
 TEST(DegradedModeTest, OneDeadTargetOfEightHasPinnedOverhead) {
@@ -948,19 +859,13 @@ TEST(OffloadResilienceTest, TargetDeathMidCheckpointFallsBackToHost) {
   Scheduler sched(cluster);
   auto job = sched.allocate(1, 1, 64_MiB, 1);
   ASSERT_TRUE(job.ok());
-
-  HealthMonitor monitor(cluster.engine(), cluster.topology());
-  RuntimeConfig config;
-  config.device_wrapper = resilience::make_retry_wrapper(
-      cluster.engine(), monitor, RetryPolicy{}, /*seed=*/42);
-  nvmecr_rt::NvmecrSystem primary(cluster, *job, config);
-  ResilientSystem sys(cluster, sched, primary, monitor, *job, config);
+  auto sys = deploy_resilient(cluster, sched, *job).value();
 
   offload::OffloadOptions oopts;
   oopts.stages = nvmf::kOffloadDigest;
-  offload::OffloadSystem off(cluster, sys, *job, oopts);
+  offload::OffloadSystem off(cluster, *sys, *job, oopts);
 
-  const fabric::NodeId node = sys.primary_node_of(0);
+  const fabric::NodeId node = sys->primary_node_of(0);
   const uint32_t idx = cluster.storage_ssd_index(node);
 
   cluster.engine().run_task(
@@ -991,7 +896,7 @@ TEST(OffloadResilienceTest, TargetDeathMidCheckpointFallsBackToHost) {
   // The checkpoint survived via failover AND the offload session fell
   // back cleanly: grant revoked, fallback logged, host CPU burned for
   // the post-death chunks.
-  EXPECT_GE(sys.failovers(), 1u);
+  EXPECT_GE(sys->failovers(), 1u);
   EXPECT_EQ(off.granted(0), 0u);
   EXPECT_EQ(off.fallbacks(), 1u);
   ASSERT_FALSE(off.fallback_log().empty());

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== checkpoint-interval sweep (Young/Daly validation) ===\n");
-  SweepParams sp;
-  const SweepResult sweep = interval_sweep(sp);
+  const SweepResult sweep = interval_sweep();
   std::printf("MTBF M = %.2f ms, measured ckpt overhead δ = %.3f ms\n",
               sweep.mtbf / kMillisecond, sweep.delta / kMillisecond);
   std::printf("Young interval sqrt(2δM)   = %.3f ms\n",

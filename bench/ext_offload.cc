@@ -77,11 +77,8 @@ RunResult run_xor(const ComdParams& params, redundancy::Scheme scheme) {
                             partition_for(params) * 2, /*num_ssds=*/4);
   NVMECR_CHECK(job.ok());
   nvmecr_rt::NvmecrSystem primary(cluster, *job, default_runtime_config());
-  redundancy::RedundancyOptions ropts;
-  ropts.scheme = scheme;
-  ropts.xor_set_size = 4;
   auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
-                                           ropts);
+                                           scheme);
   NVMECR_CHECK(dep.ok());
   const uint64_t fabric0 = cluster.network().total_bytes_sent();
   auto m = ComdDriver::run(cluster, *dep->system, params);

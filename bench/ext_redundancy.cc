@@ -26,12 +26,11 @@
 namespace nvmecr::bench {
 namespace {
 
+using redundancy::kXorSetSize;
 using redundancy::RecoverySource;
-using redundancy::RedundancyOptions;
 using redundancy::Scheme;
 
 constexpr uint32_t kRanks = 8;
-constexpr uint32_t kXorSetSize = 4;
 constexpr uint64_t kCkptBytes = 64_MiB;  // per rank per checkpoint
 
 struct SchemeResult {
@@ -83,11 +82,8 @@ SchemeResult run_scheme(Scheme scheme) {
   nvmecr_rt::NvmecrSystem primary(cluster, *job, {});
   baselines::LustreModel pfs(cluster);
 
-  RedundancyOptions opts;
-  opts.scheme = scheme;
-  opts.xor_set_size = kXorSetSize;
   auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
-                                           opts);
+                                           scheme);
   NVMECR_CHECK(dep.ok());
   redundancy::RedundantSystem& sys = *dep->system;
 

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "chaos/campaign.h"
-#include "chaos/daly.h"
 
 using namespace nvmecr;
 using namespace nvmecr::chaos;
@@ -35,10 +34,7 @@ namespace {
 
 struct Cli {
   uint32_t schedules = 200;
-  uint64_t seed = 1;
-  std::string app = "CoMD";
-  uint32_t ranks = 4;
-  uint32_t epochs = 5;
+  CampaignConfig cfg;  // --seed, --app, --ranks, --epochs
   bool quick = false;
   bool verbose = false;
   bool no_shrink = false;
@@ -116,13 +112,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--schedules") == 0 && (v = next())) {
       cli.schedules = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
     } else if (std::strcmp(argv[i], "--seed") == 0 && (v = next())) {
-      cli.seed = std::strtoull(v, nullptr, 0);
+      cli.cfg.base.seed = std::strtoull(v, nullptr, 0);
     } else if (std::strcmp(argv[i], "--app") == 0 && (v = next())) {
-      cli.app = v;
+      cli.cfg.app = v;
     } else if (std::strcmp(argv[i], "--ranks") == 0 && (v = next())) {
-      cli.ranks = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      cli.cfg.ranks = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
     } else if (std::strcmp(argv[i], "--epochs") == 0 && (v = next())) {
-      cli.epochs = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      cli.cfg.epochs = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
     } else if (std::strcmp(argv[i], "--csv") == 0 && (v = next())) {
       cli.csv = v;
     } else if (std::strcmp(argv[i], "--dump-to") == 0 && (v = next())) {
@@ -145,16 +141,12 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (cli.ranks == 0 || cli.epochs == 0 || cli.schedules == 0) {
+  const CampaignConfig& cfg = cli.cfg;
+  if (cfg.ranks == 0 || cfg.epochs == 0 || cli.schedules == 0) {
     return usage(argv[0]);
   }
   if (cli.quick) cli.schedules = 50;
 
-  CampaignConfig cfg;
-  cfg.app = cli.app;
-  cfg.ranks = cli.ranks;
-  cfg.epochs = cli.epochs;
-  cfg.base.seed = cli.seed;
   CampaignRunner runner(cfg);
 
   // --dump INDEX: print + serialize schedule INDEX, no run.
@@ -200,12 +192,12 @@ int main(int argc, char** argv) {
   std::FILE* csv = std::fopen(cli.csv.c_str(), "w");
   std::printf("chaos campaign: %u schedules, base seed 0x%llx, app %s, "
               "%u ranks x %u epochs\n",
-              cli.schedules, static_cast<unsigned long long>(cli.seed),
-              cli.app.c_str(), cli.ranks, cli.epochs);
+              cli.schedules, static_cast<unsigned long long>(cfg.base.seed),
+              cfg.app.c_str(), cfg.ranks, cfg.epochs);
   std::printf("schedule MTBF (crash classes): %.2f ms; survival deadline "
               "%lld ms/phase\n",
               schedule_mtbf(cfg.base) / kMillisecond,
-              static_cast<long long>(cfg.deadline / kMillisecond));
+              static_cast<long long>(kPhaseDeadline / kMillisecond));
   CampaignResult res =
       runner.run_campaign(cli.schedules, !cli.no_shrink, csv, cli.verbose);
   if (csv != nullptr) {
@@ -239,7 +231,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "minimal reproducer (%zu of %zu events):\n",
                subset.size(), res.violating_schedule.events.size());
   std::fprintf(stderr, "reproduce with: %s\n",
-               reproducer_line(res.violating_schedule, subset).c_str());
+               reproducer_line(cfg, res.violating_schedule, subset).c_str());
   std::ofstream dump(cli.dump_to);
   dump << serialize_schedule(res.violating_schedule);
   std::fprintf(stderr, "schedule dumped to %s (replayable via "

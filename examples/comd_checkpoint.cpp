@@ -80,11 +80,8 @@ int main(int argc, char** argv) {
   params.checkpoints = 5;
   params.compute_per_period = 800 * kMillisecond;
 
-  redundancy::RedundancyOptions ropts;
-  ropts.scheme = scheme;
-  ropts.xor_set_size = 4;
   const uint32_t num_ssds =
-      scheme == redundancy::Scheme::kXor ? ropts.xor_set_size : 0;
+      scheme == redundancy::Scheme::kXor ? redundancy::kXorSetSize : 0;
 
   auto job = scheduler.allocate(params.nranks, params.procs_per_node,
                                 /*partition_bytes=*/512_MiB, num_ssds);
@@ -106,7 +103,7 @@ int main(int argc, char** argv) {
   baselines::StorageSystem* target = &system;
   if (scheme != redundancy::Scheme::kNone) {
     auto d = redundancy::deploy_redundancy(cluster, scheduler, system, *job,
-                                           ropts);
+                                           scheme);
     NVMECR_CHECK(d.ok());
     dep = std::make_unique<redundancy::RedundantDeployment>(std::move(*d));
     target = dep->system.get();

@@ -101,7 +101,7 @@ AppRunParams scenario_params(const AppSpec& spec, const Cli& cli,
   AppRunParams p;
   p.io = workloads::io_params_for(spec, cli.ranks);
   // Shrink the simulated streams so the matrix runs in seconds; the
-  // verified solver state (p.elems doubles/rank) is independent of them.
+  // verified solver state (fixed size per rank) is independent of them.
   p.io.procs_per_node = cli.ranks;
   p.io.atoms_per_rank = 4096;
   p.io.bytes_per_atom = 512;  // 2 MiB per rank per checkpoint

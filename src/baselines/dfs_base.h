@@ -92,8 +92,6 @@ class DfsSystem : public StorageSystem {
   /// Metadata bytes per server (Table I is reported per storage node).
   std::vector<uint64_t> metadata_bytes_per_server() const;
 
-  uint32_t server_count() const { return static_cast<uint32_t>(servers_.size()); }
-
  protected:
   friend class DfsClient;
 

@@ -76,6 +76,10 @@ ScheduleParams CampaignRunner::schedule_params(uint32_t index) const {
 
 namespace {
 
+constexpr uint64_t kWorkloadSeed = 0x5EED;
+/// Heartbeat/healer daemons run until schedule horizon + this margin.
+constexpr SimDuration kHealMargin = 50 * kMillisecond;
+
 AppRunParams campaign_params(const AppSpec& spec, const CampaignConfig& cfg) {
   AppRunParams p;
   p.io = workloads::io_params_for(spec, cfg.ranks);
@@ -88,9 +92,9 @@ AppRunParams campaign_params(const AppSpec& spec, const CampaignConfig& cfg) {
   p.io.checkpoints = cfg.epochs;
   p.io.compute_per_period = 2 * kMillisecond;
   p.io.keep_last = cfg.epochs + 1;  // keep everything: probe freely
-  p.seed = cfg.workload_seed;
+  p.seed = kWorkloadSeed;
   p.pfs_interval = 0;
-  p.deadline = cfg.deadline;
+  p.deadline = kPhaseDeadline;
   return p;
 }
 
@@ -159,9 +163,9 @@ RunOutcome CampaignRunner::run_schedule(const FailureSchedule& sched,
   }
   resilience::ResilientSystem& sys = **deployed;
   out.faults = apply_schedule(cluster, sched, subset);
-  // The daemons stop at horizon + heal_margin, which must stay below the
+  // The daemons stop at horizon + kHealMargin, which must stay below the
   // run deadline (see AppRunParams::deadline).
-  sys.spawn_daemons(sched.params.horizon + cfg_.heal_margin);
+  sys.spawn_daemons(sched.params.horizon + kHealMargin);
 
   AppDriver driver(cluster, sys, *spec, campaign_params(*spec, cfg_));
   const KillSpec kill = out.faults.kill.value_or(KillSpec{});
@@ -334,12 +338,19 @@ std::vector<uint32_t> ddmin(
   return ids;
 }
 
-std::string reproducer_line(const FailureSchedule& sched,
+std::string reproducer_line(const CampaignConfig& cfg,
+                            const FailureSchedule& sched,
                             const std::vector<uint32_t>& subset) {
   char seed[32];
   std::snprintf(seed, sizeof(seed), "0x%llx",
                 static_cast<unsigned long long>(sched.params.seed));
   std::string line = std::string("chaos_campaign --replay-seed ") + seed;
+  const CampaignConfig def;
+  if (cfg.app != def.app) line += " --app " + cfg.app;
+  if (cfg.ranks != def.ranks) line += " --ranks " + std::to_string(cfg.ranks);
+  if (cfg.epochs != def.epochs) {
+    line += " --epochs " + std::to_string(cfg.epochs);
+  }
   if (!subset.empty() && subset.size() < sched.events.size()) {
     line += " --events ";
     for (size_t i = 0; i < subset.size(); ++i) {

@@ -53,16 +53,15 @@ inline constexpr int kExitCorruption = 6;
 
 int verdict_exit_code(Verdict v);
 
+/// Per-phase hang cutoff of every campaign run (sim ns); must exceed the
+/// daemon horizon (schedule horizon + kHealMargin, campaign.cc) or
+/// daemons read as hung ranks.
+inline constexpr SimDuration kPhaseDeadline = 1'000 * kMillisecond;
+
 struct CampaignConfig {
   std::string app = "CoMD";
   uint32_t ranks = 4;
   uint32_t epochs = 5;
-  uint64_t workload_seed = 0x5EED;
-  /// Per-phase hang cutoff (sim ns); must exceed the daemon horizon
-  /// (schedule horizon + heal_margin) or daemons read as hung ranks.
-  SimDuration deadline = 1'000 * kMillisecond;
-  /// Heartbeat/healer daemons run until schedule horizon + this margin.
-  SimDuration heal_margin = 50 * kMillisecond;
   /// Schedule model shared by every run; run i draws seed base.seed + i.
   ScheduleParams base;
 
@@ -139,8 +138,10 @@ std::vector<uint32_t> ddmin(
     const std::function<bool(const std::vector<uint32_t>&)>& fails);
 
 /// One-line reproducer (crash_explore parity): how to re-run exactly
-/// this violation from the command line.
-std::string reproducer_line(const FailureSchedule& sched,
+/// this violation from the command line, with each of `cfg`'s app, ranks
+/// and epochs that differs from the default.
+std::string reproducer_line(const CampaignConfig& cfg,
+                            const FailureSchedule& sched,
                             const std::vector<uint32_t>& subset);
 
 }  // namespace nvmecr::chaos

@@ -34,6 +34,22 @@ double daly_interval(double mtbf, double ckpt_cost) {
 
 namespace {
 
+constexpr const char* kApp = "CoMD";
+constexpr uint32_t kRanks = 4;
+constexpr uint64_t kSeed = 0x5EED;
+/// Failure process MTBF (exponential interarrivals), ns.
+constexpr double kMtbf = 25.0 * kMillisecond;
+/// Total useful compute per experiment, ns (epochs = work / interval).
+constexpr double kWork = 96.0 * kMillisecond;
+/// Geometric grid: kGrid points, ratio kGridStep, centered on Daly.
+constexpr uint32_t kGrid = 7;
+constexpr double kGridStep = 1.4142135623730951;  // sqrt(2)
+/// Independent failure streams averaged per grid point (common random
+/// numbers: rep r uses the same stream at every interval).
+constexpr uint32_t kReps = 4;
+/// Kill/restart cycles bound per rep (runaway guard).
+constexpr uint32_t kMaxCycles = 64;
+
 /// Minimal clean stack for one experiment: failures in the Daly model
 /// are process losses, so the storage side stays healthy and the "kill"
 /// is the driver's own job-kill path.
@@ -51,8 +67,8 @@ struct SweepStack {
     return s;
   }
 
-  explicit SweepStack(uint32_t ranks) : cluster(make_spec()), sched(cluster) {
-    auto j = sched.allocate(ranks, /*procs_per_node=*/1, 256_MiB,
+  SweepStack() : cluster(make_spec()), sched(cluster) {
+    auto j = sched.allocate(kRanks, /*procs_per_node=*/1, 256_MiB,
                             cluster.spec().storage_nodes);
     NVMECR_CHECK(j.ok());
     job = *j;
@@ -60,10 +76,10 @@ struct SweepStack {
   }
 };
 
-AppRunParams sweep_params(const AppSpec& spec, const SweepParams& p,
-                          double interval, uint32_t epochs) {
+AppRunParams sweep_params(const AppSpec& spec, double interval,
+                          uint32_t epochs) {
   AppRunParams a;
-  a.io = workloads::io_params_for(spec, p.ranks);
+  a.io = workloads::io_params_for(spec, kRanks);
   a.io.procs_per_node = 1;
   a.io.atoms_per_rank = 4096;
   a.io.bytes_per_atom = 512;  // 2 MiB per rank per checkpoint
@@ -72,24 +88,23 @@ AppRunParams sweep_params(const AppSpec& spec, const SweepParams& p,
   a.io.compute_per_period = static_cast<SimDuration>(interval);
   a.io.compute_jitter = 0;  // keep epoch wall time = I + delta exactly
   a.io.keep_last = epochs + 1;
-  a.seed = p.seed;
+  a.seed = kSeed;
   return a;
 }
 
 /// One (interval, failure-stream) experiment: run with kills drawn from
 /// the exponential stream, restart, repeat until all epochs complete.
 /// Returns total sim time, or nullopt when the run misbehaved.
-std::optional<double> run_experiment(const AppSpec& spec,
-                                     const SweepParams& p, double interval,
+std::optional<double> run_experiment(const AppSpec& spec, double interval,
                                      uint32_t epochs, double delta,
                                      uint64_t stream_seed,
                                      uint32_t* failures) {
-  SweepStack stack(p.ranks);
+  SweepStack stack;
   AppDriver driver(stack.cluster, *stack.fast, spec,
-                   sweep_params(spec, p, interval, epochs));
+                   sweep_params(spec, interval, epochs));
   Rng rng(mix64(stream_seed ^ 0xFA17D0A1Full));
-  auto draw = [&rng, &p]() {
-    return -p.mtbf * std::log(std::max(rng.uniform01(), 1e-12));
+  auto draw = [&rng]() {
+    return -kMtbf * std::log(std::max(rng.uniform01(), 1e-12));
   };
   const double epoch_wall = interval + delta;  // expected epoch time
 
@@ -97,7 +112,7 @@ std::optional<double> run_experiment(const AppSpec& spec,
   uint32_t start_epoch = 0;
   uint32_t cycles = 0;
   bool first = true;
-  while (cycles <= p.max_cycles) {
+  while (cycles <= kMaxCycles) {
     // Map the next failure time (ns into this phase) onto the epoch in
     // progress when it lands; the exponential process is memoryless, so
     // drawing afresh at each phase start is exact.
@@ -127,15 +142,15 @@ std::optional<double> run_experiment(const AppSpec& spec,
         : kill.epoch > 0                          ? kill.epoch
                                                   : 0;
   }
-  return std::nullopt;  // max_cycles exceeded: interval far too small
+  return std::nullopt;  // kMaxCycles exceeded: interval far too small
 }
 
 }  // namespace
 
-SweepResult interval_sweep(const SweepParams& p) {
+SweepResult interval_sweep() {
   SweepResult out;
-  out.mtbf = p.mtbf;
-  const AppSpec* spec = workloads::find_app(p.app.c_str());
+  out.mtbf = kMtbf;
+  const AppSpec* spec = workloads::find_app(kApp);
   NVMECR_CHECK(spec != nullptr);
 
   // Calibrate the per-epoch checkpoint overhead δ on the real stack: a
@@ -144,34 +159,34 @@ SweepResult interval_sweep(const SweepParams& p) {
   {
     const double cal_interval = 4.0 * kMillisecond;
     const uint32_t cal_epochs = 6;
-    SweepStack stack(p.ranks);
+    SweepStack stack;
     AppDriver driver(stack.cluster, *stack.fast, *spec,
-                     sweep_params(*spec, p, cal_interval, cal_epochs));
+                     sweep_params(*spec, cal_interval, cal_epochs));
     auto r = driver.run();
     NVMECR_CHECK(r.ok());
     out.delta =
         static_cast<double>(r->total_time) / cal_epochs - cal_interval;
   }
-  out.young = young_interval(p.mtbf, out.delta);
-  out.daly = daly_interval(p.mtbf, out.delta);
+  out.young = young_interval(kMtbf, out.delta);
+  out.daly = daly_interval(kMtbf, out.delta);
 
   // Geometric grid centered on the Daly interval.
-  const int center = static_cast<int>(p.grid) / 2;
+  const int center = static_cast<int>(kGrid) / 2;
   double best_eff = -1;
-  for (uint32_t k = 0; k < p.grid; ++k) {
+  for (uint32_t k = 0; k < kGrid; ++k) {
     const double interval =
-        out.daly * std::pow(p.grid_step, static_cast<int>(k) - center);
+        out.daly * std::pow(kGridStep, static_cast<int>(k) - center);
     const uint32_t epochs = std::max(
-        2u, static_cast<uint32_t>(std::lround(p.work / interval)));
+        2u, static_cast<uint32_t>(std::lround(kWork / interval)));
     SweepPoint pt;
     pt.interval = interval;
     pt.epochs = epochs;
     const double useful = static_cast<double>(epochs) * interval;
     double eff_sum = 0;
     uint32_t reps_ok = 0;
-    for (uint32_t rep = 0; rep < p.reps; ++rep) {
-      auto total = run_experiment(*spec, p, interval, epochs, out.delta,
-                                  p.seed + rep, &pt.failures);
+    for (uint32_t rep = 0; rep < kReps; ++rep) {
+      auto total = run_experiment(*spec, interval, epochs, out.delta,
+                                  kSeed + rep, &pt.failures);
       if (!total.has_value() || *total <= 0) continue;
       eff_sum += useful / *total;
       ++reps_ok;
@@ -185,7 +200,7 @@ SweepResult interval_sweep(const SweepParams& p) {
   }
   // Grid point nearest the computed Daly interval (log distance).
   double best_dist = -1;
-  for (uint32_t k = 0; k < p.grid; ++k) {
+  for (uint32_t k = 0; k < kGrid; ++k) {
     const double d = std::fabs(std::log(out.points[k].interval / out.daly));
     if (best_dist < 0 || d < best_dist) {
       best_dist = d;

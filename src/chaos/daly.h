@@ -12,7 +12,6 @@
 // the computed optimum — the acceptance gate of bench/ext_chaos.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -26,24 +25,6 @@ double young_interval(double mtbf, double ckpt_cost);
 ///   W = sqrt(2 δ M) [1 + (1/3)√(δ/2M) + (1/9)(δ/2M)] − δ,
 /// clamped to M when δ ≥ 2M (checkpointing costs more than it saves).
 double daly_interval(double mtbf, double ckpt_cost);
-
-struct SweepParams {
-  std::string app = "CoMD";
-  uint32_t ranks = 4;
-  uint64_t seed = 0x5EED;
-  /// Failure process MTBF (exponential interarrivals), ns.
-  double mtbf = 25.0 * kMillisecond;
-  /// Total useful compute per experiment, ns (epochs = work / interval).
-  double work = 96.0 * kMillisecond;
-  /// Geometric grid: `grid` points, ratio `grid_step`, centered on Daly.
-  uint32_t grid = 7;
-  double grid_step = 1.4142135623730951;  // sqrt(2)
-  /// Independent failure streams averaged per grid point (common random
-  /// numbers: rep r uses the same stream at every interval).
-  uint32_t reps = 4;
-  /// Kill/restart cycles bound per rep (runaway guard).
-  uint32_t max_cycles = 64;
-};
 
 struct SweepPoint {
   double interval = 0;    // compute per epoch, ns
@@ -68,6 +49,8 @@ struct SweepResult {
   }
 };
 
-SweepResult interval_sweep(const SweepParams& params);
+/// Calibrates δ, then sweeps daly.cc's fixed grid: kGrid intervals at
+/// ratio kGridStep around the Daly point, kReps failure streams each.
+SweepResult interval_sweep();
 
 }  // namespace nvmecr::chaos

@@ -187,9 +187,9 @@ FailureSchedule generate_schedule(const ScheduleParams& p) {
                                             draw_repair(rng, p.straggler)));
                   }
                   FailureEvent& e = add(FaultKind::kStraggler, n, at, until);
-                  e.factor = p.straggler_factor_min +
-                             rng.uniform01() * (p.straggler_factor_max -
-                                                p.straggler_factor_min);
+                  e.factor = kStragglerFactorMin +
+                             rng.uniform01() * (kStragglerFactorMax -
+                                                kStragglerFactorMin);
                 });
   }
   for (uint32_t r = 0; r < racks; ++r) {

@@ -74,6 +74,11 @@ struct DomainModel {
   double repair_mean = 5.0 * kMillisecond;  // mean transient outage, ns
 };
 
+/// A straggler event's service-time inflation is drawn uniformly from
+/// [kStragglerFactorMin, kStragglerFactorMax].
+inline constexpr double kStragglerFactorMin = 2.0;
+inline constexpr double kStragglerFactorMax = 8.0;
+
 struct ScheduleParams {
   uint64_t seed = 1;
   SimTime horizon = 100 * kMillisecond;  // events drawn in [0, horizon)
@@ -93,9 +98,6 @@ struct ScheduleParams {
   double cascade_prob = 0.0;
   /// Probability the schedule contains one process kill.
   double job_kill_prob = 0.0;
-
-  double straggler_factor_min = 2.0;
-  double straggler_factor_max = 8.0;
 
   /// Densest schedules are truncated to this many events (time order).
   uint32_t max_events = 64;

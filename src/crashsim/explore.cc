@@ -66,11 +66,9 @@ sim::Task<StateOutcome> check_state(sim::Engine& engine, hw::BlockDevice& dev,
     out.detail = report->to_string();
     co_return out;
   }
-  if (opts.verify_files) {
-    if (Status s = co_await verify_tree(**fs, "/"); !s.ok()) {
-      out.detail = "content verification failed: " + s.to_string();
-      co_return out;
-    }
+  if (Status s = co_await verify_tree(**fs, "/"); !s.ok()) {
+    out.detail = "content verification failed: " + s.to_string();
+    co_return out;
   }
   out.recovered = true;
   co_return out;

@@ -14,7 +14,7 @@
 //     `require_recovery_from` (boundaries inside format(), before the
 //     superblock commit makes the partition mountable);
 //   * a successful recovery must pass MicroFs::fsck() with zero issues
-//     and (optionally) verify every tagged file's content end to end.
+//     and verify every tagged file's content end to end.
 //
 // Everything is deterministic: the workload is seeded, the simulation
 // is a DES, and boundaries are indexed — a failure report (seed,
@@ -48,9 +48,6 @@ struct ExploreOptions {
   /// boundary i sit logically before it, so they are required to
   /// recover only when i > require_recovery_from.
   size_t require_recovery_from = 0;
-
-  /// Run verify_tagged() on every tagged file of each recovered state.
-  bool verify_files = true;
 
   /// Safety valve for CI: stop after this many states (0 = unlimited).
   size_t max_states = 0;

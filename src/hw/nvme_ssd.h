@@ -86,7 +86,6 @@ class NvmeSsd {
   /// Marks the whole device failed: every subsequent command errors
   /// immediately (models an SSD/node loss for fault-tolerance tests).
   void fail_device() { device_failed_ = true; }
-  bool device_failed() const { return device_failed_; }
   /// Schedules a hard crash at sim-time `at`: commands submitted while
   /// crashed get no completion — the initiator burns the IO timeout and
   /// sees kTimedOut (distinct from fail_device()'s immediate kIoError,

@@ -237,11 +237,6 @@ class MicroFs {
     return inodes_.memory_footprint() + pool_.memory_footprint() +
            paths_.memory_footprint();
   }
-  /// Device bytes reserved for metadata (log ring + both checkpoint
-  /// regions) — the fixed part of Table I's per-runtime storage overhead.
-  uint64_t metadata_region_bytes() const {
-    return geo_.log_bytes + 2 * geo_.ckpt_bytes;
-  }
   uint64_t metadata_device_bytes() const {
     return stats_.metadata_device_bytes(log_->counters());
   }

@@ -161,11 +161,6 @@ class OpLog {
       hw::BlockDevice& dev, uint64_t region_base, uint32_t slots,
       uint32_t min_epoch);
 
-  /// On-device footprint of the ring (Table I accounting).
-  uint64_t region_bytes() const {
-    return static_cast<uint64_t>(slots_) * kRecordBytes;
-  }
-
   static void encode_record(const LogRecord& rec, std::vector<std::byte>& out);
   static StatusOr<LogRecord> decode_record(std::span<const std::byte> in);
 

@@ -28,9 +28,8 @@ using namespace nvmecr::literals;
 class Comm {
  public:
   /// Creates the world communicator for `size` ranks.
-  static std::unique_ptr<Comm> world(sim::Engine& engine, int size,
-                                     SimDuration hop_latency = 2_us) {
-    return std::unique_ptr<Comm>(new Comm(engine, size, hop_latency));
+  static std::unique_ptr<Comm> world(sim::Engine& engine, int size) {
+    return std::unique_ptr<Comm>(new Comm(engine, size));
   }
 
   int size() const { return size_; }
@@ -73,11 +72,11 @@ class Comm {
   sim::Task<SplitResult> split(int rank, int color);
 
  private:
-  Comm(sim::Engine& engine, int size, SimDuration hop_latency)
-      : engine_(engine),
-        size_(size),
-        hop_latency_(hop_latency),
-        done_(engine) {
+  /// One message hop of a collective round.
+  static constexpr SimDuration kHopLatency = 2_us;
+
+  Comm(sim::Engine& engine, int size)
+      : engine_(engine), size_(size), done_(engine) {
     NVMECR_CHECK(size > 0);
     contributions_.resize(static_cast<size_t>(size));
   }
@@ -86,12 +85,11 @@ class Comm {
   SimDuration collective_cost() const {
     int rounds = 0;
     for (int p = 1; p < size_; p <<= 1) ++rounds;
-    return 2 * rounds * hop_latency_;
+    return 2 * rounds * kHopLatency;
   }
 
   sim::Engine& engine_;
   int size_;
-  SimDuration hop_latency_;
 
   // Rendezvous state for the current collective generation.
   int arrived_ = 0;
@@ -145,8 +143,7 @@ inline sim::Task<Comm::SplitResult> Comm::split(int rank, int color) {
       for (int r = 0; r < size_; ++r) {
         if (colors[static_cast<size_t>(r)] == c) ++members;
       }
-      children_.push_back(
-          std::unique_ptr<Comm>(new Comm(engine_, members, hop_latency_)));
+      children_.push_back(std::unique_ptr<Comm>(new Comm(engine_, members)));
       Comm* child = children_.back().get();
       int next = 0;
       for (int r = 0; r < size_; ++r) {

@@ -28,8 +28,7 @@ std::vector<fabric::RackId> StorageBalancer::partner_domains(
 }
 
 StatusOr<BalancerAssignment> StorageBalancer::assign(
-    const fabric::Topology& topo, const BalancerRequest& request,
-    bool allow_same_domain) {
+    const fabric::Topology& topo, const BalancerRequest& request) {
   if (request.rank_nodes.empty()) {
     return InvalidArgumentError("BalancerRequest.rank_nodes is empty");
   }
@@ -128,29 +127,17 @@ StatusOr<BalancerAssignment> StorageBalancer::assign(
   for (uint32_t r = 0; r < nranks; ++r) {
     const fabric::RackId my_domain =
         topo.failure_domain(request.rank_nodes[r]);
-    // Pick the least-loaded eligible SSD; partner-domain SSDs are always
-    // preferred over same-domain ones (which are eligible only when
-    // allow_same_domain is set).
+    // Pick the least-loaded SSD outside the rank's own domain.
     int best = -1;
-    bool best_partner = false;
     for (uint32_t s = 0; s < out.ssd_nodes.size(); ++s) {
-      const bool partner =
-          topo.failure_domain(out.ssd_nodes[s]) != my_domain;
-      if (!partner && !allow_same_domain) continue;
-      const bool better =
-          best < 0 || (partner && !best_partner) ||
-          (partner == best_partner &&
-           out.ranks_per_ssd[s] <
-               out.ranks_per_ssd[static_cast<uint32_t>(best)]);
-      if (better) {
+      if (topo.failure_domain(out.ssd_nodes[s]) == my_domain) continue;
+      if (best < 0 || out.ranks_per_ssd[s] <
+                          out.ranks_per_ssd[static_cast<uint32_t>(best)]) {
         best = static_cast<int>(s);
-        best_partner = partner;
       }
     }
     if (best < 0) {
-      return InvalidArgumentError(
-          "no storage outside rank's failure domain; pass "
-          "allow_same_domain for single-domain testbeds");
+      return InvalidArgumentError("no storage outside rank's failure domain");
     }
     const auto s = static_cast<uint32_t>(best);
     out.ssd_of_rank[r] = s;

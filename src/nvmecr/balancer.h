@@ -58,11 +58,9 @@ class StorageBalancer {
  public:
   /// Computes the assignment. Fails with kInvalidArgument when no
   /// storage node lies outside a rank's failure domain (fault-tolerance
-  /// would be void) unless `allow_same_domain` — single-rack testbeds
-  /// and the local-SSD experiments set it.
+  /// would be void).
   static StatusOr<BalancerAssignment> assign(const fabric::Topology& topo,
-                                             const BalancerRequest& request,
-                                             bool allow_same_domain = false);
+                                             const BalancerRequest& request);
 
   /// Partner domains of `domain`: storage-capable failure domains other
   /// than `domain`, sorted by hop distance then id.

@@ -28,7 +28,6 @@ struct ClusterSpec {
   /// the front racks). 1 reproduces the paper's single storage rack;
   /// redundancy schemes need >= 2 distinct storage failure domains.
   uint32_t storage_racks = 1;
-  uint32_t cores_per_node = 28;
   hw::SsdSpec ssd;                 // per storage node
   fabric::NetworkParams network;
   nvmf::NvmfParams nvmf;
@@ -96,11 +95,13 @@ class Cluster {
   void install_observer(const obs::Observer& o);
   const obs::Observer& observer() const { return observer_; }
 
-  /// Copies the host-performance counters that live outside the obs layer
-  /// — the engine's dispatch/now-ring counts (simcore cannot depend on
-  /// obs) and the payload stores' tag-cache hits — into the installed
-  /// metrics registry (`engine.*`, `payload.*`). Drivers call this after
-  /// a run; per-counter deltas make repeated calls safe. No-op without an
+  /// Copies the counters that live outside the obs layer — the engine's
+  /// dispatch, now-ring, calendar and frame-pool counts (simcore cannot
+  /// depend on obs), the payload stores' tag reads, the fabric's bytes
+  /// sent and received, and the targets' compute busy time — into the
+  /// installed metrics registry (`engine.*`, `payload.tag_reads`,
+  /// `fabric.*`, `target.compute_busy_ns`). Drivers call this after a
+  /// run; per-counter deltas make repeated calls safe. No-op without an
   /// installed metrics sink.
   void export_run_metrics();
 

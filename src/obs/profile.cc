@@ -126,10 +126,4 @@ std::string EpochProfiler::drilldown_table() const {
   return out;
 }
 
-void EpochProfiler::reset() {
-  epochs_.clear();
-  rank_epoch_.clear();
-  max_rank_ = 0;
-}
-
 }  // namespace nvmecr::obs

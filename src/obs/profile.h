@@ -94,8 +94,6 @@ class EpochProfiler {
   /// totals, median/max across ranks, straggler rank and amplification.
   std::string drilldown_table() const;
 
-  void reset();
-
  private:
   struct EpochData {
     // phases[p] indexed by rank; ns of simulated time booked.

@@ -66,8 +66,6 @@ class RunReport {
 
   sim::TraceCollector& trace() { return trace_; }
   MetricsRegistry& metrics() { return metrics_; }
-  sim::DispatchProfiler& dispatch_profiler() { return dispatch_; }
-  EpochProfiler& epoch_profiler() { return epoch_; }
 
   /// Exports gauge timelines into the trace as counter tracks, then
   /// writes any requested files. Prints one line per file written (or a

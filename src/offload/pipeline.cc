@@ -10,6 +10,17 @@ namespace nvmecr::offload {
 
 using Phase = obs::EpochProfiler::Phase;
 
+namespace {
+/// Single-core CRC64 cost per byte, on host and target cores alike
+/// (matches the slice-by-8 software CRC the runtime models elsewhere,
+/// ~20 GB/s).
+constexpr double kCrcNsPerByte = 0.05;
+/// Delta-fold cost per byte touched (delta bytes + current image).
+constexpr double kCompactNsPerByte = 0.05;
+/// Bandwidth the target serves a materialized image at (DRAM-staged).
+constexpr uint64_t kImageDramBw = 8_GBps;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // OffloadSystem
 
@@ -112,7 +123,7 @@ sim::Task<Status> OffloadClient::target_round_trip(uint64_t payload) {
   co_await eng.sleep_until(tgt.reserve_poll_group(eng.now()));
   if (payload > 0) {
     // DRAM-staged image streamout on the target before the data ships.
-    co_await eng.delay(transfer_time(payload, sys_.opts_.image_dram_bw));
+    co_await eng.delay(transfer_time(payload, kImageDramBw));
   }
   if (!tgt.alive(eng.now())) {
     co_return UnreachableError("offload target dead");
@@ -196,8 +207,8 @@ sim::Task<Status> OffloadClient::write(int fd, uint64_t len) {
   }
   if (o.digest_checks && (grant & nvmf::kOffloadDigest) == 0) {
     // Host-side CRC over the raw stream before it ships.
-    const auto c = static_cast<SimDuration>(o.host_crc_ns_per_byte *
-                                            static_cast<double>(len));
+    const auto c =
+        static_cast<SimDuration>(kCrcNsPerByte * static_cast<double>(len));
     if (c > 0) {
       co_await eng.delay(c);
       sys_.charge_host(c);
@@ -213,8 +224,8 @@ sim::Task<Status> OffloadClient::write(int fd, uint64_t len) {
     // The target CRCs the landed (compressed) extent on its offload
     // cores, off the host's critical path; fsync awaits the verify.
     nvmf::NvmfTarget& tgt = sys_.target_of(rank_);
-    const auto work = static_cast<SimDuration>(
-        o.target_crc_ns_per_byte * static_cast<double>(wire));
+    const auto work =
+        static_cast<SimDuration>(kCrcNsPerByte * static_cast<double>(wire));
     of.digest_done =
         std::max(of.digest_done, tgt.reserve_compute(eng.now(), work));
   }
@@ -310,8 +321,7 @@ sim::Task<Status> OffloadClient::close(int fd) {
     RankOffloadState& st = slot.st;
     const uint64_t prev = st.image_bytes;
     const auto work = static_cast<SimDuration>(
-        sys_.opts_.compact_ns_per_byte *
-        static_cast<double>(of.raw_bytes + prev));
+        kCompactNsPerByte * static_cast<double>(of.raw_bytes + prev));
     st.image_ready =
         tgt.reserve_compute(std::max(eng.now(), st.image_ready), work);
     st.image_bytes = std::max(prev, of.raw_bytes);

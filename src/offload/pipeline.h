@@ -54,15 +54,6 @@ struct OffloadOptions {
   /// Run an integrity digest over every checkpoint stream (host- or
   /// target-side per the digest grant).
   bool digest_checks = true;
-  /// Single-core CRC64 cost per byte (matches the slice-by-8 software
-  /// CRC the runtime models elsewhere ~20 GB/s).
-  double host_crc_ns_per_byte = 0.05;
-  double target_crc_ns_per_byte = 0.05;
-
-  /// Delta-fold cost per byte touched (delta bytes + current image).
-  double compact_ns_per_byte = 0.05;
-  /// Bandwidth the target serves a materialized image at (DRAM-staged).
-  uint64_t image_dram_bw = 8_GBps;
 };
 
 /// Where one rank's session stands with its target.
@@ -100,7 +91,6 @@ class OffloadSystem final : public baselines::StorageSystem {
   SimDuration kernel_time() const override { return inner_.kernel_time(); }
   uint64_t restart_image_bytes(int rank, const std::string& path) override;
 
-  const OffloadOptions& options() const { return opts_; }
   nvmecr_rt::Cluster& cluster() { return cluster_; }
 
   /// Stage mask in force for `rank` (0 = everything host-side).

@@ -42,15 +42,13 @@ std::vector<uint64_t> words_for(uint32_t rank, const std::string& path,
 RedundantSystem::RedundantSystem(nvmecr_rt::Cluster& cluster,
                                  baselines::StorageSystem& primary,
                                  std::unique_ptr<nvmecr_rt::NvmecrSystem> store,
-                                 RedundancyPlan plan, RedundancyOptions opts,
-                                 uint32_t nranks)
+                                 RedundancyPlan plan, uint32_t nranks)
     : cluster_(cluster),
       primary_(primary),
       store_(std::move(store)),
       plan_(std::move(plan)),
-      opts_(opts),
       background_idle_(cluster.engine()) {
-  NVMECR_CHECK(opts_.scheme == Scheme::kNone || store_ != nullptr);
+  NVMECR_CHECK(plan_.scheme == Scheme::kNone || store_ != nullptr);
   ranks_.reserve(nranks);
   for (uint32_t r = 0; r < nranks; ++r) {
     ranks_.push_back(std::make_unique<RankState>(cluster.engine()));
@@ -130,7 +128,7 @@ void RedundantSystem::spawn_background(sim::Task<void> task) {
 
 sim::Task<void> RedundantSystem::encode_parity(uint32_t rank, std::string path,
                                                uint32_t set, uint64_t seq) {
-  const uint32_t k = plan_.set_size;
+  constexpr uint32_t k = kXorSetSize;
   SetProgress& sp = set_progress(set, seq);
   while (sp.member_paths.size() < k) {
     co_await sp.done.wait();
@@ -153,7 +151,7 @@ sim::Task<void> RedundantSystem::encode_parity(uint32_t rank, std::string path,
     max_bytes = std::max(max_bytes, f->bytes);
   }
 
-  const uint64_t q = opts_.digest_chunk;
+  const uint64_t q = kDigestChunk;
   const uint64_t c_max = ceil_div(max_bytes, q);
   const uint64_t t_words =
       std::max<uint64_t>(1, ceil_div(c_max, static_cast<uint64_t>(k - 1)));
@@ -191,8 +189,8 @@ sim::Task<void> RedundantSystem::encode_parity(uint32_t rank, std::string path,
                       "redundancy/rank" + std::to_string(rank),
                       "parity_encode", eng);
   const auto work = static_cast<SimDuration>(
-      opts_.xor_ns_per_byte * static_cast<double>((k - 1) * seg.device_bytes));
-  if (opts_.scheme == Scheme::kXorTarget) {
+      kXorNsPerByte * static_cast<double>((k - 1) * seg.device_bytes));
+  if (plan_.scheme == Scheme::kXorTarget) {
     // Target-side fold (DESIGN.md "Offload pipeline"): the NVMe-oF target
     // holding this member's parity segment XORs the survivors'
     // already-landed data itself. The host ships no parity bytes; the
@@ -284,7 +282,7 @@ sim::Task<StatusOr<int>> RedundantClient::create(const std::string& path) {
   open_[*fd] = OpenFile{path, /*writing=*/true};
   RedundantSystem::RankState& st = sys_.rank_state(rank_);
   st.files[path] = FileManifest{};
-  if (sys_.opts_.scheme == Scheme::kPartner && st.store_client != nullptr) {
+  if (sys_.plan_.scheme == Scheme::kPartner && st.store_client != nullptr) {
     st.joiner.spawn(replicate_create(sys_, rank_, path));
   }
   co_return fd;
@@ -304,7 +302,7 @@ sim::Task<Status> RedundantClient::write(int fd, uint64_t len) {
     RedundantSystem::RankState& st = sys_.rank_state(rank_);
     auto fit = st.files.find(it->second.path);
     if (fit != st.files.end()) fit->second.bytes += len;
-    if (sys_.opts_.scheme == Scheme::kPartner && st.store_client != nullptr) {
+    if (sys_.plan_.scheme == Scheme::kPartner && st.store_client != nullptr) {
       st.joiner.spawn(replicate_write(sys_, rank_, it->second.path, len));
     }
   }
@@ -319,7 +317,7 @@ sim::Task<Status> RedundantClient::fsync(int fd) {
   Status s = co_await primary_->fsync(fd);
   auto it = open_.find(fd);
   if (it != open_.end() && it->second.writing &&
-      sys_.opts_.scheme == Scheme::kPartner) {
+      sys_.plan_.scheme == Scheme::kPartner) {
     RedundantSystem::RankState& st = sys_.rank_state(rank_);
     if (st.store_client != nullptr) {
       st.joiner.spawn(replicate_fsync(sys_, rank_, it->second.path));
@@ -345,10 +343,10 @@ sim::Task<Status> RedundantClient::close(int fd) {
     FileManifest& f = fit->second;
     f.complete = s.ok();
     f.digest = stream_digest(
-        f.bytes, words_for(rank_, path, f.bytes, sys_.opts_.digest_chunk));
+        f.bytes, words_for(rank_, path, f.bytes, kDigestChunk));
   }
 
-  switch (sys_.opts_.scheme) {
+  switch (sys_.plan_.scheme) {
     case Scheme::kNone:
       break;
     case Scheme::kPartner:
@@ -363,7 +361,7 @@ sim::Task<Status> RedundantClient::close(int fd) {
       const uint64_t seq = st.xor_seq++;
       RedundantSystem::SetProgress& sp = sys_.set_progress(set, seq);
       sp.member_paths[rank_] = path;
-      if (sp.member_paths.size() == sys_.plan_.set_size) sp.done.set();
+      if (sp.member_paths.size() == kXorSetSize) sp.done.set();
       // Encode runs in the background once the whole set has closed this
       // wave — it overlaps the application's next phase rather than
       // extending the checkpoint (quiesce() waits for stragglers).
@@ -378,7 +376,7 @@ sim::Task<Status> RedundantClient::unlink(const std::string& path) {
   Status s = co_await primary_->unlink(path);
   RedundantSystem::RankState& st = sys_.rank_state(rank_);
   if (st.store_client != nullptr) {
-    if (sys_.opts_.scheme == Scheme::kPartner) {
+    if (sys_.plan_.scheme == Scheme::kPartner) {
       co_await st.repl_mutex.lock();
       auto rit = st.replica_fds.find(path);
       if (rit != st.replica_fds.end()) {
@@ -387,7 +385,7 @@ sim::Task<Status> RedundantClient::unlink(const std::string& path) {
       }
       (void)co_await st.store_client->unlink(path);
       st.repl_mutex.unlock();
-    } else if (is_xor(sys_.opts_.scheme) && st.parity.count(path) != 0) {
+    } else if (is_xor(sys_.plan_.scheme) && st.parity.count(path) != 0) {
       co_await st.repl_mutex.lock();
       (void)co_await st.store_client->unlink(sys_.parity_path(path));
       st.repl_mutex.unlock();
@@ -483,7 +481,7 @@ sim::Task<Status> RedundantClient::replicate_close(RedundantSystem& sys,
     FileManifest& f = fit->second;
     f.replica_digest = stream_digest(
         f.replica_bytes,
-        words_for(rank, path, f.replica_bytes, sys.opts_.digest_chunk));
+        words_for(rank, path, f.replica_bytes, kDigestChunk));
     // "Byte-identical" in the sim's content model: same length, same
     // word stream, clean close on both sides.
     f.replica_ok = s.ok() && !f.replica_failed && f.complete &&
@@ -502,22 +500,21 @@ sim::Task<Status> RedundantClient::replicate_close(RedundantSystem& sys,
 StatusOr<RedundantDeployment> deploy_redundancy(
     nvmecr_rt::Cluster& cluster, nvmecr_rt::Scheduler& scheduler,
     baselines::StorageSystem& primary,
-    const nvmecr_rt::JobAllocation& primary_job, const RedundancyOptions& opts,
+    const nvmecr_rt::JobAllocation& primary_job, Scheme scheme,
     nvmecr_rt::RuntimeConfig store_config) {
   RedundantDeployment dep;
   NVMECR_ASSIGN_OR_RETURN(
       dep.plan,
       plan_redundancy(cluster.topology(), primary_job.assignment,
-                      primary_job.rank_nodes, cluster.storage_nodes(), opts));
+                      primary_job.rank_nodes, cluster.storage_nodes(), scheme));
   const auto nranks = static_cast<uint32_t>(primary_job.rank_nodes.size());
   std::unique_ptr<nvmecr_rt::NvmecrSystem> store;
-  if (opts.scheme != Scheme::kNone) {
+  if (scheme != Scheme::kNone) {
     // Partner replicas need full-size partitions; XOR parity segments
     // only ~1/(K-1), plus slack for padding and fs metadata.
     uint64_t part = primary_job.partition_bytes;
-    if (is_xor(opts.scheme)) {
-      const uint64_t k = std::max<uint32_t>(2, opts.xor_set_size);
-      part = ceil_div(part, k - 1) + 2 * opts.digest_chunk + 64_MiB;
+    if (is_xor(scheme)) {
+      part = ceil_div(part, kXorSetSize - 1) + 2 * kDigestChunk + 64_MiB;
       // Partition slots stack back to back inside the namespace, so an
       // unaligned size would misalign every slot but the first.
       part = ceil_div(part, 1_MiB) * 1_MiB;
@@ -527,7 +524,7 @@ StatusOr<RedundantDeployment> deploy_redundancy(
     // segment, so segment writes ride the network's loopback path and
     // never cross the fabric (the whole point of offloading the fold).
     std::vector<fabric::NodeId> store_rank_nodes = primary_job.rank_nodes;
-    if (opts.scheme == Scheme::kXorTarget) {
+    if (scheme == Scheme::kXorTarget) {
       const auto& a = dep.plan.assignment;
       for (uint32_t r = 0; r < store_rank_nodes.size(); ++r) {
         store_rank_nodes[r] = a.ssd_nodes[a.ssd_of_rank[r]];
@@ -542,7 +539,7 @@ StatusOr<RedundantDeployment> deploy_redundancy(
                                                       store_config);
   }
   dep.system = std::make_unique<RedundantSystem>(
-      cluster, primary, std::move(store), dep.plan, opts, nranks);
+      cluster, primary, std::move(store), dep.plan, nranks);
   return dep;
 }
 

@@ -22,7 +22,7 @@
 //
 // Content identity: the simulation carries no real payload bytes
 // (microfs verifies tagged patterns device-side), so each stream is
-// summarized by one 64-bit word per `digest_chunk` bytes plus a CRC64
+// summarized by one 64-bit word per kDigestChunk bytes plus a CRC64
 // digest over the word stream. Parity segments store genuinely XOR'ed
 // words; reconstruction re-derives the lost stream's words from the
 // K-1 survivors + parity and proves byte-identity by matching the
@@ -46,7 +46,15 @@ namespace nvmecr::redundancy {
 
 class RedundantClient;
 
-/// Digest word standing in for `digest_chunk` bytes of checkpoint
+/// Content-fingerprint granularity: one 64-bit digest word summarizes this
+/// many bytes (the simulation's stand-in for a data block; XOR parity and
+/// reconstruction operate on these words, CRC64-validated).
+inline constexpr uint64_t kDigestChunk = 4_MiB;
+
+/// Single-core XOR encode/decode CPU cost per input byte.
+inline constexpr double kXorNsPerByte = 0.15;
+
+/// Digest word standing in for kDigestChunk bytes of checkpoint
 /// content: deterministic in (rank, path, chunk index), the same
 /// content model as the device-side tagged patterns.
 uint64_t content_word(uint32_t rank, const std::string& path, uint64_t chunk);
@@ -88,12 +96,11 @@ class RedundantSystem final : public baselines::StorageSystem {
   RedundantSystem(nvmecr_rt::Cluster& cluster,
                   baselines::StorageSystem& primary,
                   std::unique_ptr<nvmecr_rt::NvmecrSystem> store,
-                  RedundancyPlan plan, RedundancyOptions opts,
-                  uint32_t nranks);
+                  RedundancyPlan plan, uint32_t nranks);
   ~RedundantSystem() override;
 
   std::string name() const override {
-    return primary_.name() + "+" + scheme_name(opts_.scheme);
+    return primary_.name() + "+" + scheme_name(plan_.scheme);
   }
   sim::Task<StatusOr<std::unique_ptr<baselines::StorageClient>>> connect(
       int rank) override;
@@ -122,7 +129,6 @@ class RedundantSystem final : public baselines::StorageSystem {
   /// (call before injecting faults or tearing down).
   sim::Task<void> quiesce();
 
-  const RedundancyOptions& options() const { return opts_; }
   const RedundancyPlan& plan() const { return plan_; }
   nvmecr_rt::Cluster& cluster() { return cluster_; }
   nvmecr_rt::NvmecrSystem* store() { return store_.get(); }
@@ -188,7 +194,6 @@ class RedundantSystem final : public baselines::StorageSystem {
   baselines::StorageSystem& primary_;
   std::unique_ptr<nvmecr_rt::NvmecrSystem> store_;
   RedundancyPlan plan_;
-  RedundancyOptions opts_;
 
   std::vector<std::unique_ptr<RankState>> ranks_;
   std::map<uint64_t, std::unique_ptr<SetProgress>> set_progress_;
@@ -264,8 +269,7 @@ struct RedundantDeployment {
 StatusOr<RedundantDeployment> deploy_redundancy(
     nvmecr_rt::Cluster& cluster, nvmecr_rt::Scheduler& scheduler,
     baselines::StorageSystem& primary,
-    const nvmecr_rt::JobAllocation& primary_job,
-    const RedundancyOptions& opts,
+    const nvmecr_rt::JobAllocation& primary_job, Scheme scheme,
     nvmecr_rt::RuntimeConfig store_config = {});
 
 }  // namespace nvmecr::redundancy

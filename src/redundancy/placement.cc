@@ -50,8 +50,7 @@ void assign_rank(RedundancyPlan& plan, uint32_t rank, fabric::NodeId node) {
 StatusOr<RedundancyPlan> plan_partner(
     const fabric::Topology& topo, const BalancerAssignment& primary,
     const std::vector<fabric::NodeId>& rank_nodes,
-    const std::vector<fabric::NodeId>& storage_nodes,
-    const RedundancyOptions& opts) {
+    const std::vector<fabric::NodeId>& storage_nodes) {
   RedundancyPlan plan;
   plan.scheme = Scheme::kPartner;
   const auto nranks = static_cast<uint32_t>(rank_nodes.size());
@@ -60,9 +59,8 @@ StatusOr<RedundancyPlan> plan_partner(
 
   std::map<fabric::NodeId, uint32_t> load;
   for (uint32_t r = 0; r < nranks; ++r) {
-    const fabric::NodeId primary_node =
-        primary.ssd_nodes[primary.ssd_of_rank[r]];
-    const fabric::RackId primary_domain = topo.failure_domain(primary_node);
+    const fabric::RackId primary_domain =
+        topo.failure_domain(primary.ssd_nodes[primary.ssd_of_rank[r]]);
     const fabric::RackId compute_domain = topo.failure_domain(rank_nodes[r]);
 
     // Nearest partner domain of the primary that is also outside the
@@ -75,24 +73,11 @@ StatusOr<RedundancyPlan> plan_partner(
                                           storage_nodes)) {
       if (d != compute_domain) allowed.insert(d);
     }
-    if (allowed.empty() && opts.allow_same_domain) {
-      allowed.insert(primary_domain);
-    }
-    int node = pick_store_node(topo, storage_nodes, allowed, load);
+    const int node = pick_store_node(topo, storage_nodes, allowed, load);
     if (node < 0) {
       return InvalidArgumentError(
           "partner replication needs a storage failure domain outside the "
-          "primary's (ClusterSpec.storage_racks >= 2), or allow_same_domain");
-    }
-    // Never co-locate replica and primary on the same device, even in
-    // allow_same_domain mode, unless it is the only device there is.
-    if (static_cast<fabric::NodeId>(node) == primary_node &&
-        storage_nodes.size() > 1) {
-      std::set<fabric::RackId> all;
-      for (fabric::NodeId n : storage_nodes) all.insert(topo.failure_domain(n));
-      std::map<fabric::NodeId, uint32_t> shadow = load;
-      shadow[primary_node] = UINT32_MAX - 1;
-      node = pick_store_node(topo, storage_nodes, all, shadow);
+          "primary's (ClusterSpec.storage_racks >= 2)");
     }
     assign_rank(plan, r, static_cast<fabric::NodeId>(node));
     ++load[static_cast<fabric::NodeId>(node)];
@@ -103,22 +88,17 @@ StatusOr<RedundancyPlan> plan_partner(
 StatusOr<RedundancyPlan> plan_xor(
     const fabric::Topology& topo, const BalancerAssignment& primary,
     const std::vector<fabric::NodeId>& rank_nodes,
-    const std::vector<fabric::NodeId>& storage_nodes,
-    const RedundancyOptions& opts) {
-  const uint32_t k = opts.xor_set_size;
+    const std::vector<fabric::NodeId>& storage_nodes) {
+  constexpr uint32_t k = kXorSetSize;
   const auto nranks = static_cast<uint32_t>(rank_nodes.size());
-  if (k < 2) {
-    return InvalidArgumentError("xor_set_size must be >= 2");
-  }
   if (nranks % k != 0) {
     return InvalidArgumentError(
-        "nranks must be a multiple of xor_set_size so every erasure set "
+        "nranks must be a multiple of kXorSetSize so every erasure set "
         "has exactly K members");
   }
 
   RedundancyPlan plan;
   plan.scheme = Scheme::kXor;
-  plan.set_size = k;
   plan.assignment.ssd_of_rank.resize(nranks);
   plan.assignment.slot_of_rank.resize(nranks);
   plan.set_of_rank.resize(nranks);
@@ -132,11 +112,6 @@ StatusOr<RedundancyPlan> plan_xor(
     const fabric::NodeId pnode = primary.ssd_nodes[primary.ssd_of_rank[r]];
     buckets[topo.failure_domain(pnode)].push_back(r);
   }
-  if (buckets.size() < k && !opts.allow_same_domain) {
-    return InvalidArgumentError(
-        "xor erasure sets need at least K distinct storage failure domains "
-        "(raise ClusterSpec.storage_racks or lower xor_set_size)");
-  }
   for (uint32_t set = 0; set < nranks / k; ++set) {
     // K fullest buckets (ties by domain id, for determinism).
     std::vector<fabric::RackId> order;
@@ -147,30 +122,15 @@ StatusOr<RedundancyPlan> plan_xor(
                      [&](fabric::RackId a, fabric::RackId b) {
                        return buckets[a].size() > buckets[b].size();
                      });
-    std::vector<uint32_t> members;
-    if (order.size() >= k) {
-      for (uint32_t i = 0; i < k; ++i) {
-        members.push_back(buckets[order[i]].back());
-        buckets[order[i]].pop_back();
-      }
-    } else if (opts.allow_same_domain) {
-      // Degraded mode: fill the set round-robin over whatever domains
-      // remain (survives device loss, not domain loss).
-      uint32_t i = 0;
-      while (members.size() < k && !order.empty()) {
-        fabric::RackId d = order[i % order.size()];
-        if (buckets[d].empty()) {
-          order.erase(order.begin() + static_cast<long>(i % order.size()));
-          continue;
-        }
-        members.push_back(buckets[d].back());
-        buckets[d].pop_back();
-        ++i;
-      }
-    }
-    if (members.size() != k) {
+    if (order.size() < k) {
       return InvalidArgumentError(
-          "cannot form xor erasure sets spanning distinct failure domains");
+          "xor erasure sets need their K ranks' primaries in K distinct "
+          "storage failure domains (raise ClusterSpec.storage_racks)");
+    }
+    std::vector<uint32_t> members;
+    for (uint32_t i = 0; i < k; ++i) {
+      members.push_back(buckets[order[i]].back());
+      buckets[order[i]].pop_back();
     }
     std::sort(members.begin(), members.end());
     for (uint32_t m : members) plan.set_of_rank[m] = set;
@@ -207,12 +167,7 @@ StatusOr<RedundancyPlan> plan_xor(
           storage_nodes.size() > 1) {
         std::map<fabric::NodeId, uint32_t> shadow = load;
         shadow[pnode] = UINT32_MAX - 1;
-        std::set<fabric::RackId> all;
-        for (fabric::NodeId n : storage_nodes) {
-          all.insert(topo.failure_domain(n));
-        }
-        node = pick_store_node(topo, storage_nodes,
-                               opts.allow_same_domain ? all : allowed, shadow);
+        node = pick_store_node(topo, storage_nodes, allowed, shadow);
       }
       assign_rank(plan, m, static_cast<fabric::NodeId>(node));
       ++load[static_cast<fabric::NodeId>(node)];
@@ -226,8 +181,7 @@ StatusOr<RedundancyPlan> plan_xor(
 StatusOr<RedundancyPlan> plan_redundancy(
     const fabric::Topology& topo, const BalancerAssignment& primary,
     const std::vector<fabric::NodeId>& rank_nodes,
-    const std::vector<fabric::NodeId>& storage_nodes,
-    const RedundancyOptions& opts) {
+    const std::vector<fabric::NodeId>& storage_nodes, Scheme scheme) {
   if (rank_nodes.empty()) {
     return InvalidArgumentError("plan_redundancy: rank_nodes is empty");
   }
@@ -243,7 +197,7 @@ StatusOr<RedundancyPlan> plan_redundancy(
     }
     return plan;
   };
-  switch (opts.scheme) {
+  switch (scheme) {
     case Scheme::kNone: {
       RedundancyPlan plan;
       plan.scheme = Scheme::kNone;
@@ -252,7 +206,7 @@ StatusOr<RedundancyPlan> plan_redundancy(
     case Scheme::kPartner: {
       NVMECR_ASSIGN_OR_RETURN(
           RedundancyPlan plan,
-          plan_partner(topo, primary, rank_nodes, storage_nodes, opts));
+          plan_partner(topo, primary, rank_nodes, storage_nodes));
       return finish(std::move(plan));
     }
     case Scheme::kXor:
@@ -260,8 +214,8 @@ StatusOr<RedundancyPlan> plan_redundancy(
       // Same geometry; only the encode site differs.
       NVMECR_ASSIGN_OR_RETURN(
           RedundancyPlan plan,
-          plan_xor(topo, primary, rank_nodes, storage_nodes, opts));
-      plan.scheme = opts.scheme;
+          plan_xor(topo, primary, rank_nodes, storage_nodes));
+      plan.scheme = scheme;
       return finish(std::move(plan));
     }
   }

@@ -25,7 +25,6 @@ using nvmecr_rt::BalancerAssignment;
 /// namespace per distinct store SSD).
 struct RedundancyPlan {
   Scheme scheme = Scheme::kNone;
-  uint32_t set_size = 0;  // K, kXor only
 
   /// Store placement: for rank r, assignment.ssd_nodes[assignment
   /// .ssd_of_rank[r]] is the SSD holding r's replica (kPartner) or r's
@@ -49,20 +48,19 @@ struct RedundancyPlan {
 /// domain than both its primary SSD and its compute node (nearest
 /// eligible partner domain, least-loaded node within it).
 ///
-/// kXor invariants: sets of exactly K ranks whose primary SSDs span K
-/// distinct failure domains (requires nranks % K == 0 and at least K
-/// storage domains); member m's parity segment lives in a domain
+/// kXor invariants: sets of exactly K = kXorSetSize ranks whose primary
+/// SSDs span K distinct failure domains (requires nranks % K == 0 and at
+/// least K storage domains); member m's parity segment lives in a domain
 /// outside the whole set's primary domains when one exists, else in
 /// m's own primary domain — either way a single domain loss destroys
 /// at most one member's data share and never a parity segment needed
 /// to rebuild it.
 ///
 /// Fails with kInvalidArgument when the topology cannot satisfy the
-/// scheme (e.g. a single storage rack and !opts.allow_same_domain).
+/// scheme (e.g. a single storage rack).
 StatusOr<RedundancyPlan> plan_redundancy(
     const fabric::Topology& topo, const BalancerAssignment& primary,
     const std::vector<fabric::NodeId>& rank_nodes,
-    const std::vector<fabric::NodeId>& storage_nodes,
-    const RedundancyOptions& opts);
+    const std::vector<fabric::NodeId>& storage_nodes, Scheme scheme);
 
 }  // namespace nvmecr::redundancy

@@ -7,6 +7,12 @@
 
 namespace nvmecr::redundancy {
 
+namespace {
+/// Bandwidth for serving a reconstructed (DRAM-buffered) checkpoint back
+/// to the restarting application.
+constexpr uint64_t kImageDramBw = 8_GBps;
+}  // namespace
+
 Reconstructor::Reconstructor(RedundantSystem& system) : sys_(system) {
   if (obs::MetricsRegistry* m = sys_.cluster().observer().metrics) {
     reconstructions_ = m->counter("redundancy.reconstructions");
@@ -58,7 +64,7 @@ sim::Task<Status> RecoveryClient::materialize_partner(const FileManifest& m,
   }
   co_await st.repl_mutex.lock();
   Status s = co_await read_all(*st.store_client, path, m.replica_bytes,
-                               sys.options().digest_chunk);
+                               kDigestChunk);
   st.repl_mutex.unlock();
   NVMECR_CO_RETURN_IF_ERROR(s);
   r.source = RecoverySource::kPartner;
@@ -77,8 +83,8 @@ sim::Task<Status> RecoveryClient::decode_xor(const FileManifest& m,
   }
   const uint32_t set = plan.set_of_rank[rank_];
   const std::vector<uint32_t>& members = plan.set_members[set];
-  const uint32_t k = plan.set_size;
-  const uint64_t q = sys.options().digest_chunk;
+  constexpr uint32_t k = kXorSetSize;
+  const uint64_t q = kDigestChunk;
 
   // Locate, on every survivor, the parity segment covering this wave
   // (identified by it recording `path` as the lost member's file).
@@ -170,7 +176,7 @@ sim::Task<Status> RecoveryClient::decode_xor(const FileManifest& m,
   // still alive; otherwise fall back to the restarting host's core.
   sim::Engine& eng = sys.cluster().engine();
   const auto decode_work = static_cast<SimDuration>(
-      sys.options().xor_ns_per_byte *
+      kXorNsPerByte *
       static_cast<double>((k - 1) * t_words * q));
   bool decoded_on_target = false;
   if (plan.scheme == Scheme::kXorTarget) {
@@ -220,7 +226,7 @@ sim::Task<StatusOr<int>> RecoveryClient::open_read(const std::string& path) {
   RedundantSystem::RankState& st = sys.rank_state(rank_);
   if (st.client != nullptr) {
     s = co_await read_all(st.client->primary(), path, m->bytes,
-                          sys.options().digest_chunk);
+                          kDigestChunk);
     if (s.ok()) {
       r.source = RecoverySource::kFastTier;
       r.bytes_read = m->bytes;
@@ -228,11 +234,11 @@ sim::Task<StatusOr<int>> RecoveryClient::open_read(const std::string& path) {
     }
   }
   // 2. Partner replica.
-  if (!s.ok() && sys.options().scheme == Scheme::kPartner) {
+  if (!s.ok() && sys.plan().scheme == Scheme::kPartner) {
     s = co_await materialize_partner(*m, path, r);
   }
   // 3. XOR decode from the K-1 survivors.
-  if (!s.ok() && is_xor(sys.options().scheme)) {
+  if (!s.ok() && is_xor(sys.plan().scheme)) {
     s = co_await decode_xor(*m, path, r);
   }
   if (!s.ok()) {
@@ -261,7 +267,7 @@ sim::Task<Status> RecoveryClient::read(int fd, uint64_t len) {
   if (it == open_.end()) co_return BadFdError("recovery fd");
   // The image is DRAM-resident after materialization.
   co_await owner_.sys_.cluster().engine().delay(
-      transfer_time(len, owner_.sys_.options().dram_bw));
+      transfer_time(len, kImageDramBw));
   it->second.cursor = std::min(it->second.cursor + len, it->second.bytes);
   co_return OkStatus();
 }

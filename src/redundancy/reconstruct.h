@@ -15,8 +15,8 @@
 // and fails otherwise, at which point the restart path walks on to the
 // PFS tier (workloads::RestorePlan's chain). Materialization
 // charges the real device reads (survivor files + parity segments) and
-// decode CPU; subsequent read()s stream the DRAM-resident image at
-// RedundancyOptions::dram_bw.
+// decode CPU; subsequent read()s stream the DRAM-resident image at DRAM
+// bandwidth.
 //
 // Reconstruction is an *online* rebuild: it reads survivors through the
 // live client sessions registered with the RedundantSystem (a

@@ -68,31 +68,9 @@ inline std::optional<Scheme> parse_scheme(std::string_view name) {
   return std::nullopt;
 }
 
-struct RedundancyOptions {
-  Scheme scheme = Scheme::kNone;
-
-  /// Erasure-set size K for kXor (K-1 data shares per parity share, so
-  /// the write overhead is ~1/(K-1)). Needs at least K distinct storage
-  /// failure domains.
-  uint32_t xor_set_size = 4;
-
-  /// Content-fingerprint granularity: one 64-bit digest word summarizes
-  /// this many bytes (the simulation's stand-in for a data block; XOR
-  /// parity and reconstruction operate on these words, CRC64-validated
-  /// via common/crc.h).
-  uint64_t digest_chunk = 4_MiB;
-
-  /// Single-core XOR encode/decode CPU cost per input byte.
-  double xor_ns_per_byte = 0.15;
-
-  /// Bandwidth for serving a reconstructed (DRAM-buffered) checkpoint
-  /// back to the restarting application.
-  uint64_t dram_bw = 8_GBps;
-
-  /// Single-rack testbeds: allow replica/parity placement inside the
-  /// primary's failure domain (redundancy then only survives device —
-  /// not domain — loss).
-  bool allow_same_domain = false;
-};
+/// Erasure-set size K for the XOR schemes (K-1 data shares per parity
+/// share, so the write overhead is ~1/(K-1)). Needs at least K distinct
+/// storage failure domains.
+inline constexpr uint32_t kXorSetSize = 4;
 
 }  // namespace nvmecr::redundancy

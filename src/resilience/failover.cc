@@ -15,11 +15,13 @@ namespace nvmecr::resilience {
 
 namespace {
 
+/// The healer's scan period (sim time).
+constexpr SimDuration kHealPeriod = 500'000;  // 500 us
+
 /// `config` with its device_wrapper set to wrap every remote qpair device
-/// in a RetryDevice (default policy) reporting into `monitor`, which
-/// tracks each storage node on first sight. Each device's jitter stream
-/// is seeded from (seed, node, rank), so runs are reproducible regardless
-/// of connect order.
+/// in a RetryDevice reporting into `monitor`, which tracks each storage
+/// node on first sight. Each device's jitter stream is seeded from (seed,
+/// node, rank), so runs are reproducible regardless of connect order.
 nvmecr_rt::RuntimeConfig with_retry_wrapper(nvmecr_rt::RuntimeConfig config,
                                             nvmecr_rt::Cluster& cluster,
                                             HealthMonitor& monitor,
@@ -32,7 +34,7 @@ nvmecr_rt::RuntimeConfig with_retry_wrapper(nvmecr_rt::RuntimeConfig config,
     const uint64_t dev_seed =
         mix64(seed ^ mix64((static_cast<uint64_t>(node) << 32) | rank));
     auto wrapped = std::make_unique<RetryDevice>(
-        engine, std::move(dev), monitor, node, RetryPolicy{}, dev_seed);
+        engine, std::move(dev), monitor, node, dev_seed);
     wrapped->set_observer(observer);
     return wrapped;
   };
@@ -72,10 +74,8 @@ StatusOr<std::unique_ptr<ResilientSystem>> deploy_resilient(
       new ResilientSystem(cluster, scheduler, job, std::move(base),
                           retry_seed));
   if (scheme != redundancy::Scheme::kNone) {
-    redundancy::RedundancyOptions opts;
-    opts.scheme = scheme;
     auto dep = redundancy::deploy_redundancy(cluster, scheduler, sys->primary_,
-                                             job, opts, sys->config_);
+                                             job, scheme, sys->config_);
     if (!dep.ok()) return dep.status();
     sys->redundant_ = std::move(dep->system);
     sys->inner_ = sys->redundant_.get();
@@ -240,9 +240,9 @@ sim::Task<void> ResilientSystem::heal_node(fabric::NodeId node) {
   }
 }
 
-sim::Task<void> ResilientSystem::healer(SimTime until, SimDuration period) {
-  while (cluster_.engine().now() + period <= until) {
-    co_await cluster_.engine().delay(period);
+sim::Task<void> ResilientSystem::healer(SimTime until) {
+  while (cluster_.engine().now() + kHealPeriod <= until) {
+    co_await cluster_.engine().delay(kHealPeriod);
     // Heal files whose primary answers again (kHealing), and also any
     // stragglers that closed degraded after their node already recovered.
     for (fabric::NodeId node : monitor_.nodes_in_state(TargetState::kHealing)) {

@@ -63,13 +63,13 @@ class ResilientSystem;
 
 /// Builds `job`'s resilient deployment, in this order: the HealthMonitor;
 /// the NVMe-CR runtime on `base` with its device_wrapper replaced by a
-/// RetryDevice (default RetryPolicy, jitter streams seeded from
-/// `retry_seed`); for any `scheme` but kNone, the redundancy engine over
-/// it (deploy_redundancy, store on the same retrying config); and the
-/// failover layer on top. Spares provisioned at failover use the same
-/// retrying config, so they are themselves retried and health-tracked.
-/// Metrics and traces go to the observer installed on `cluster`. The
-/// returned system owns every layer; `job` is copied.
+/// RetryDevice (jitter streams seeded from `retry_seed`); for any
+/// `scheme` but kNone, the redundancy engine over it (deploy_redundancy,
+/// store on the same retrying config); and the failover layer on top.
+/// Spares provisioned at failover use the same retrying config, so they
+/// are themselves retried and health-tracked. Metrics and traces go to
+/// the observer installed on `cluster`. The returned system owns every
+/// layer; `job` is copied.
 StatusOr<std::unique_ptr<ResilientSystem>> deploy_resilient(
     nvmecr_rt::Cluster& cluster, nvmecr_rt::Scheduler& scheduler,
     const nvmecr_rt::JobAllocation& job, nvmecr_rt::RuntimeConfig base = {},
@@ -181,11 +181,11 @@ class ResilientSystem final : public baselines::StorageSystem {
   /// with exclude_domains = monitor.dead_domains(), one SSD, one rank.
   sim::Task<Status> ensure_spare(uint32_t rank);
 
-  /// Bounded healer daemon: every `period` until sim-time `until`, scans
+  /// Bounded healer daemon: every kHealPeriod until sim-time `until`, scans
   /// for kHealing targets and rewrites their ranks' degraded files
   /// through the inner chain (restoring full redundancy), then reports
   /// note_healed().
-  sim::Task<void> healer(SimTime until, SimDuration period = 500'000);
+  sim::Task<void> healer(SimTime until);
 
   /// Rewrites one degraded file through the rank's inner client.
   sim::Task<Status> heal_file(uint32_t rank, std::string path);

@@ -21,8 +21,8 @@ const char* target_state_name(TargetState s) {
   return "?";
 }
 
-HealthMonitor::HealthMonitor(nvmecr_rt::Cluster& cluster, HealthParams params)
-    : cluster_(cluster), params_(params), obs_(cluster.observer()) {
+HealthMonitor::HealthMonitor(nvmecr_rt::Cluster& cluster)
+    : cluster_(cluster), obs_(cluster.observer()) {
   if (obs_.metrics != nullptr) {
     m_deaths_ = obs_.metrics->counter("resilience.deaths");
     m_false_alarms_ = obs_.metrics->counter("resilience.false_alarms");
@@ -86,7 +86,7 @@ void HealthMonitor::note_miss(fabric::NodeId node) {
     return;
   }
   ++t.misses;
-  if (t.misses >= params_.dead_after_misses) {
+  if (t.misses >= kDeadAfterMisses) {
     transition(node, t, TargetState::kDead);
   } else if (t.state == TargetState::kHealthy) {
     transition(node, t, TargetState::kSuspect);
@@ -98,7 +98,7 @@ void HealthMonitor::note_exhausted(fabric::NodeId node) {
   if (it == targets_.end()) return;
   Target& t = it->second;
   if (t.state == TargetState::kDead) return;
-  t.misses = params_.dead_after_misses;
+  t.misses = kDeadAfterMisses;
   transition(node, t, TargetState::kDead);
 }
 
@@ -143,8 +143,8 @@ std::vector<fabric::NodeId> HealthMonitor::nodes_in_state(
 
 sim::Task<void> HealthMonitor::heartbeat(SimTime until) {
   sim::Engine& engine = cluster_.engine();
-  while (engine.now() + params_.heartbeat_period <= until) {
-    co_await engine.delay(params_.heartbeat_period);
+  while (engine.now() + kHeartbeatPeriod <= until) {
+    co_await engine.delay(kHeartbeatPeriod);
     // std::map iteration: probes fire in node order, deterministically.
     for (auto& [node, t] : targets_) {
       (void)t;

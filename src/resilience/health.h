@@ -9,7 +9,7 @@
 //   * management plane — a lightweight sim-time heartbeat probes every
 //     tracked target each period and reports the same way.
 //
-// Hysteresis: a target is only declared dead after `dead_after_misses`
+// Hysteresis: a target is only declared dead after kDeadAfterMisses
 // CONSECUTIVE misses (or an explicit retry-budget exhaustion from the
 // data plane). A single slow IO — a straggler SSD at 10x latency still
 // completes — therefore never trips the detector; the false-positive
@@ -17,10 +17,10 @@
 //
 // State machine (ISSUE 5 / DESIGN.md §13):
 //
-//   healthy --miss--> suspect --misses >= dead_after--> dead
-//      ^                 |ok                              |probe ok
-//      |                 v                                v
-//      +-------------- healthy <----heal complete---- healing
+//   healthy --miss--> suspect --misses >= kDeadAfterMisses--> dead
+//      ^                 |ok                                    |probe ok
+//      |                 v                                      v
+//      +-------------- healthy <----------heal complete---- healing
 //
 // A probe success on a dead target moves it to `healing` (the node is
 // back, but data written elsewhere during the outage is still degraded);
@@ -45,25 +45,21 @@ enum class TargetState { kHealthy, kSuspect, kDead, kHealing };
 
 const char* target_state_name(TargetState s);
 
-struct HealthParams {
-  /// Consecutive misses (IO timeouts or heartbeat probe failures) before
-  /// a suspect target is declared dead. 1 would defeat the hysteresis.
-  uint32_t dead_after_misses = 3;
-  /// Heartbeat probe period (sim time).
-  SimDuration heartbeat_period = 250'000;  // 250 us
-};
+/// Consecutive misses (IO timeouts or heartbeat probe failures) before a
+/// suspect target is declared dead. 1 would defeat the hysteresis.
+inline constexpr uint32_t kDeadAfterMisses = 3;
+/// Heartbeat probe period (sim time).
+inline constexpr SimDuration kHeartbeatPeriod = 250'000;  // 250 us
 
 class HealthMonitor {
  public:
   /// Watches `cluster`'s storage targets. Metric instruments
   /// ("resilience.*") and health instants go to the observer installed
   /// on the cluster at construction.
-  explicit HealthMonitor(nvmecr_rt::Cluster& cluster, HealthParams params = {});
+  explicit HealthMonitor(nvmecr_rt::Cluster& cluster);
   // Retrying devices keep a reference to the monitor they report into.
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
-
-  const HealthParams& params() const { return params_; }
 
   /// Registers a storage node for tracking (idempotent).
   void track(fabric::NodeId node);
@@ -100,7 +96,7 @@ class HealthMonitor {
   /// Total state transitions (a cheap determinism fingerprint).
   uint64_t transitions() const { return transitions_; }
 
-  /// Bounded heartbeat daemon: every heartbeat_period until sim-time
+  /// Bounded heartbeat daemon: every kHeartbeatPeriod until sim-time
   /// `until`, probes each tracked target with
   /// Cluster::storage_node_up(node, now) and feeds the result in as
   /// note_ok / note_miss. Bounded so that the engine still reaches
@@ -118,7 +114,6 @@ class HealthMonitor {
   void transition(fabric::NodeId node, Target& t, TargetState next);
 
   nvmecr_rt::Cluster& cluster_;
-  HealthParams params_;
   std::map<fabric::NodeId, Target> targets_;  // sorted: deterministic scans
   uint64_t transitions_ = 0;
 

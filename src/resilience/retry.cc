@@ -5,15 +5,25 @@
 
 namespace nvmecr::resilience {
 
+namespace {
+/// Backoff before retry k (1-based): kBaseBackoff * kBackoffMultiplier^(k-1),
+/// capped at kMaxBackoff.
+constexpr SimDuration kBaseBackoff = 50'000;  // 50 us
+constexpr double kBackoffMultiplier = 2.0;
+/// Per-operation deadline: once an operation has spent this much sim time
+/// across attempts and backoffs, the budget is exhausted even if attempts
+/// remain. Keeps worst-case stall bounded against the checkpoint interval.
+constexpr SimDuration kOpDeadline = 10'000'000;  // 10 ms
+}  // namespace
+
 RetryDevice::RetryDevice(sim::Engine& engine,
                          std::unique_ptr<hw::BlockDevice> inner,
                          HealthMonitor& monitor, fabric::NodeId storage_node,
-                         RetryPolicy policy, uint64_t jitter_seed)
+                         uint64_t jitter_seed)
     : engine_(engine),
       inner_(std::move(inner)),
       monitor_(monitor),
       node_(storage_node),
-      policy_(policy),
       rng_(jitter_seed) {
   monitor_.track(node_);
 }
@@ -24,15 +34,15 @@ void RetryDevice::set_observer(const obs::Observer& o) {
 }
 
 SimDuration RetryDevice::backoff_for(uint32_t attempt) {
-  double b = static_cast<double>(policy_.base_backoff);
-  for (uint32_t i = 1; i < attempt; ++i) b *= policy_.multiplier;
-  b = std::min(b, static_cast<double>(policy_.max_backoff));
-  b *= rng_.jitter(policy_.jitter);
+  double b = static_cast<double>(kBaseBackoff);
+  for (uint32_t i = 1; i < attempt; ++i) b *= kBackoffMultiplier;
+  b = std::min(b, static_cast<double>(kMaxBackoff));
+  b *= rng_.jitter(kBackoffJitter);
   return static_cast<SimDuration>(b);
 }
 
 sim::Task<Status> RetryDevice::submit(hw::IoCmd cmd, uint64_t* tag) {
-  const SimTime deadline = engine_.now() + policy_.op_deadline;
+  const SimTime deadline = engine_.now() + kOpDeadline;
   for (uint32_t attempt = 1;; ++attempt) {
     if (monitor_.dead(node_)) {
       // Already declared dead (by us on an earlier op, the heartbeat, or
@@ -48,7 +58,7 @@ sim::Task<Status> RetryDevice::submit(hw::IoCmd cmd, uint64_t* tag) {
     }
     if (!is_retryable(s.code())) co_return s;  // fatal: surface immediately
     monitor_.note_miss(node_);
-    const bool attempts_left = attempt < policy_.max_attempts;
+    const bool attempts_left = attempt < kMaxAttempts;
     const SimDuration backoff = backoff_for(attempt);
     const bool deadline_left = engine_.now() + backoff < deadline;
     if (!attempts_left || !deadline_left || monitor_.dead(node_)) {

@@ -31,28 +31,19 @@
 
 namespace nvmecr::resilience {
 
-struct RetryPolicy {
-  /// Total attempts per operation (first try + retries).
-  uint32_t max_attempts = 4;
-  /// Backoff before retry k (1-based): base * multiplier^(k-1), capped at
-  /// max_backoff, then jittered by +/- jitter fraction.
-  SimDuration base_backoff = 50'000;  // 50 us
-  double multiplier = 2.0;
-  SimDuration max_backoff = 1'000'000;  // 1 ms
-  double jitter = 0.25;
-  /// Per-operation deadline: once an operation has spent this much sim
-  /// time across attempts and backoffs, the budget is exhausted even if
-  /// attempts remain. Keeps worst-case stall bounded against the
-  /// checkpoint interval.
-  SimDuration op_deadline = 10'000'000;  // 10 ms
-};
+/// Total attempts per operation (first try + retries).
+inline constexpr uint32_t kMaxAttempts = 4;
+/// Cap of the exponential backoff (retry.cc), which is then jittered by
+/// +/- kBackoffJitter.
+inline constexpr SimDuration kMaxBackoff = 1'000'000;  // 1 ms
+inline constexpr double kBackoffJitter = 0.25;
 
 /// BlockDevice decorator: retry/backoff + health reporting.
 class RetryDevice final : public hw::BlockDevice {
  public:
   RetryDevice(sim::Engine& engine, std::unique_ptr<hw::BlockDevice> inner,
               HealthMonitor& monitor, fabric::NodeId storage_node,
-              RetryPolicy policy, uint64_t jitter_seed);
+              uint64_t jitter_seed);
 
   uint64_t capacity() const override { return inner_->capacity(); }
   uint32_t hw_block_size() const override { return inner_->hw_block_size(); }
@@ -76,7 +67,6 @@ class RetryDevice final : public hw::BlockDevice {
   std::unique_ptr<hw::BlockDevice> inner_;
   HealthMonitor& monitor_;
   fabric::NodeId node_;
-  RetryPolicy policy_;
   Rng rng_;
   uint64_t retries_ = 0;
   obs::Counter* m_retries_ = nullptr;

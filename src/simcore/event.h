@@ -16,8 +16,6 @@ class Event {
  public:
   explicit Event(Engine& engine) : engine_(engine) {}
 
-  bool is_set() const { return set_; }
-
   void set() {
     if (set_) return;
     set_ = true;

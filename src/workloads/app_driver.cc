@@ -11,6 +11,12 @@
 
 namespace nvmecr::workloads {
 
+namespace {
+/// Real solver state per rank, in doubles. Deliberately independent of
+/// the simulated stream size (io profile).
+constexpr uint32_t kStateElems = 192;
+}  // namespace
+
 const char* kill_point_name(KillPoint p) {
   switch (p) {
     case KillPoint::kNone:
@@ -329,7 +335,7 @@ sim::Task<void> AppDriver::restore_and_resume(uint32_t rank, uint32_t epoch,
   // Rebuild the solver state from the committed snapshot and prove it
   // is the state the digest was taken over.
   auto st = make_rank_state(spec_, rank, params_.io.nranks, params_.seed,
-                            params_.elems);
+                            kStateElems);
   s = st->deserialize(
       std::span<const std::byte>(rec->snapshot.data(), rec->snapshot.size()));
   if (s.ok() && st->digest() != rec->digest) {
@@ -370,7 +376,7 @@ StatusOr<AppRunResult> AppDriver::run(const KillSpec& kill) {
   states_.resize(nranks);
   for (uint32_t r = 0; r < nranks; ++r) {
     states_[r] =
-        make_rank_state(spec_, r, nranks, params_.seed, params_.elems);
+        make_rank_state(spec_, r, nranks, params_.seed, kStateElems);
   }
   RunCtx ctx;
   ctx.kill = kill;
@@ -413,7 +419,7 @@ StatusOr<AppRunResult> AppDriver::restart(const RestorePlan& plan,
     // first checkpoint completed): restart from initial state.
     for (uint32_t r = 0; r < nranks; ++r) {
       states_[r] =
-          make_rank_state(spec_, r, nranks, params_.seed, params_.elems);
+          make_rank_state(spec_, r, nranks, params_.seed, kStateElems);
       eng.spawn(epoch_loop(r, 0, ctx));
     }
   } else {

@@ -107,9 +107,6 @@ struct AppRunParams {
   /// (do_recovery is ignored — restart is the driver's own phase.)
   ComdParams io;
   uint64_t seed = 0x5EED;
-  /// Real solver state per rank, in doubles. Deliberately independent
-  /// of the simulated stream size (io profile).
-  uint32_t elems = 192;
   /// Every `pfs_interval`-th checkpoint routes to the PFS system passed
   /// to the constructor (0 = fast tier only).
   uint32_t pfs_interval = 0;

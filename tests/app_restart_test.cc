@@ -64,7 +64,7 @@ ClusterSpec make_spec(uint32_t storage_nodes, uint32_t storage_racks,
 
 /// Small IO profile: the simulated checkpoint streams shrink to 2 MiB
 /// per rank so the whole matrix runs in seconds; the verified solver
-/// state (AppRunParams::elems doubles per rank) is independent of them.
+/// state (a fixed array of doubles per rank) is independent of them.
 AppRunParams test_params(const AppSpec& spec, uint32_t ranks,
                          uint32_t epochs, uint32_t pfs_interval = 0) {
   AppRunParams p;
@@ -313,11 +313,8 @@ TEST(FourPathRestoreTest, FastThenXorThenPfsRestoreIdentically) {
   auto job = sched.allocate(ranks, /*procs_per_node=*/1, 256_MiB, ranks);
   ASSERT_TRUE(job.ok());
   nvmecr_rt::NvmecrSystem primary(cluster, *job, {});
-  redundancy::RedundancyOptions opts;
-  opts.scheme = redundancy::Scheme::kXor;
-  opts.xor_set_size = 4;
   auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
-                                           opts);
+                                           redundancy::Scheme::kXor);
   ASSERT_TRUE(dep.ok()) << dep.status().to_string();
   redundancy::RedundantSystem& sys = *dep->system;
   baselines::LustreModel pfs(cluster, /*procs_per_node=*/1);

@@ -2,9 +2,10 @@
 // deterministic and bounded, the Weibull option actually clusters
 // failures, serialization round-trips byte-identically, ddmin shrinks
 // to a locally minimal subset against a synthetic oracle, the
-// Young/Daly formulas match hand-computed values, fsck_all is clean on
-// a healthy run, and a small pinned-seed campaign upholds the survival
-// trichotomy with deterministic outcomes across two sweeps.
+// Young/Daly formulas match hand-computed values, the interval sweep's
+// output is pinned, fsck_all is clean on a healthy run, and a small
+// pinned-seed campaign upholds the survival trichotomy with
+// deterministic outcomes across two sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,8 +90,8 @@ TEST(ScheduleTest, EventsRespectBoundsAndOrdering) {
         EXPECT_LE(s.events[i - 1].at, e.at);
       }
       if (e.kind == FaultKind::kStraggler) {
-        EXPECT_GE(e.factor, p.straggler_factor_min);
-        EXPECT_LE(e.factor, p.straggler_factor_max);
+        EXPECT_GE(e.factor, chaos::kStragglerFactorMin);
+        EXPECT_LE(e.factor, chaos::kStragglerFactorMax);
       }
     }
     EXPECT_LE(kills, 1u);  // at most one process kill per schedule
@@ -265,6 +266,38 @@ TEST(DalyTest, FormulasMatchHandComputedValues) {
   EXPECT_GT(chaos::daly_interval(50.0, 1.0), 0.9 * chaos::young_interval(50.0, 1.0));
 }
 
+// The interval sweep behind bench/ext_chaos, pinned point by point: a
+// changed sweep constant (MTBF, work, grid, reps, seed) moves δ, the
+// grid or some point's epochs, failures or efficiency.
+TEST(DalyTest, IntervalSweepIsPinned) {
+  const chaos::SweepResult s = chaos::interval_sweep();
+  EXPECT_EQ(std::llround(s.delta), 1'852'080);  // δ = 1.852 ms
+  EXPECT_EQ(s.mtbf, 25.0 * kMillisecond);
+  EXPECT_DOUBLE_EQ(s.young, 9623097.2145146709);
+  EXPECT_DOUBLE_EQ(s.daly, 8427983.3164903559);
+  struct Point {
+    uint32_t epochs;
+    uint32_t failures;
+    double efficiency;
+  };
+  const Point want[] = {
+      {32, 16, 0.55118266363553803}, {23, 14, 0.61287169785582452},
+      {16, 13, 0.65803654849069937}, {11, 10, 0.70221656391762377},
+      {8, 11, 0.69515285049969378},  {6, 12, 0.6830543732652461},
+      {4, 10, 0.66398438324801679},
+  };
+  ASSERT_EQ(s.points.size(), std::size(want));
+  for (size_t k = 0; k < s.points.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(s.points[k].epochs, want[k].epochs);
+    EXPECT_EQ(s.points[k].failures, want[k].failures);
+    EXPECT_DOUBLE_EQ(s.points[k].efficiency, want[k].efficiency);
+  }
+  EXPECT_DOUBLE_EQ(s.points[3].interval, s.daly);  // the grid's center
+  EXPECT_EQ(s.computed_index, 3);
+  EXPECT_EQ(s.best_index, 3);
+}
+
 // ---------------------------------------------------------------------------
 // fsck over live runtimes
 
@@ -426,14 +459,26 @@ TEST(CampaignTest, ReproducerLineNamesSeedAndSubset) {
   FailureSchedule sched;
   sched.params.seed = 0x2A;
   sched.events.resize(10);
-  // Whole-schedule reproducer: just the seed, no --events filter.
+  const CampaignConfig def;
+  // Whole-schedule reproducer of a default campaign: just the seed.
   const std::string all = chaos::reproducer_line(
-      sched, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-  EXPECT_NE(all.find("--replay-seed 0x2a"), std::string::npos);
-  EXPECT_EQ(all.find("--events"), std::string::npos);
-  const std::string some = chaos::reproducer_line(sched, {1, 4, 7});
-  EXPECT_NE(some.find("--replay-seed 0x2a"), std::string::npos);
-  EXPECT_NE(some.find("--events 1,4,7"), std::string::npos);
+      def, sched, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  EXPECT_EQ(all, "chaos_campaign --replay-seed 0x2a");
+  const std::string some = chaos::reproducer_line(def, sched, {1, 4, 7});
+  EXPECT_EQ(some, "chaos_campaign --replay-seed 0x2a --events 1,4,7");
+
+  // Flags that shape the run are replayed when they differ from the
+  // default, and only then.
+  CampaignConfig cfg;
+  cfg.ranks = 8;
+  cfg.epochs = 6;
+  EXPECT_EQ(chaos::reproducer_line(cfg, sched, {1, 4, 7}),
+            "chaos_campaign --replay-seed 0x2a --ranks 8 --epochs 6 "
+            "--events 1,4,7");
+  cfg.app = "miniFE-CG";
+  cfg.ranks = def.ranks;
+  EXPECT_EQ(chaos::reproducer_line(cfg, sched, {}),
+            "chaos_campaign --replay-seed 0x2a --app miniFE-CG --epochs 6");
 }
 
 }  // namespace

@@ -231,11 +231,8 @@ TEST(FaultInjectionTest, XorParityWriteErrorDegradesNotCorrupts) {
                             /*ssds=*/4);
   ASSERT_TRUE(job.ok());
   nvmecr_rt::NvmecrSystem primary(cluster, *job, {});
-  redundancy::RedundancyOptions opts;
-  opts.scheme = redundancy::Scheme::kXor;
-  opts.xor_set_size = 4;
-  auto dep =
-      redundancy::deploy_redundancy(cluster, sched, primary, *job, opts);
+  auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
+                                           redundancy::Scheme::kXor);
   ASSERT_TRUE(dep.ok()) << dep.status().to_string();
   redundancy::RedundantSystem& sys = *dep->system;
 

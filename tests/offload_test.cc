@@ -299,11 +299,8 @@ XorRunResult run_xor_scheme(redundancy::Scheme scheme, bool fail_and_recover) {
                             /*num_ssds=*/4);
   NVMECR_CHECK(job.ok());
   nvmecr_rt::NvmecrSystem primary(cluster, *job, {});
-  redundancy::RedundancyOptions opts;
-  opts.scheme = scheme;
-  opts.xor_set_size = 4;
   auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
-                                           opts);
+                                           scheme);
   NVMECR_CHECK(dep.ok());
   redundancy::RedundantSystem& sys = *dep->system;
 
@@ -380,11 +377,8 @@ uint64_t comd_xor_fabric_bytes(redundancy::Scheme scheme) {
   NVMECR_CHECK(job.ok());
   nvmecr_rt::NvmecrSystem primary(cluster, *job,
                                   bench::default_runtime_config());
-  redundancy::RedundancyOptions opts;
-  opts.scheme = scheme;
-  opts.xor_set_size = 4;
   auto dep = redundancy::deploy_redundancy(cluster, sched, primary, *job,
-                                           opts);
+                                           scheme);
   NVMECR_CHECK(dep.ok());
   const uint64_t fabric0 = cluster.network().total_bytes_sent();
   NVMECR_CHECK(workloads::ComdDriver::run(cluster, *dep->system, params).ok());

@@ -24,7 +24,6 @@ namespace {
 
 using namespace nvmecr::literals;
 using redundancy::RecoverySource;
-using redundancy::RedundancyOptions;
 using redundancy::Scheme;
 using nvmecr_rt::Cluster;
 using nvmecr_rt::ClusterSpec;
@@ -99,11 +98,9 @@ sim::Task<Status> read_file(baselines::StorageClient& c,
 TEST(RedundancyPlacementTest, PartnerAvoidsPrimaryAndComputeDomains) {
   RedundancyFixture f(/*storage_nodes=*/4, /*storage_racks=*/2);
   JobAllocation job = f.alloc(/*nranks=*/4, /*ssds=*/2);
-  RedundancyOptions opts;
-  opts.scheme = Scheme::kPartner;
   auto plan = redundancy::plan_redundancy(
       f.cluster.topology(), job.assignment, job.rank_nodes,
-      f.cluster.storage_nodes(), opts);
+      f.cluster.storage_nodes(), Scheme::kPartner);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
   for (uint32_t r = 0; r < 4; ++r) {
     const fabric::NodeId replica =
@@ -118,36 +115,19 @@ TEST(RedundancyPlacementTest, PartnerAvoidsPrimaryAndComputeDomains) {
 TEST(RedundancyPlacementTest, PartnerNeedsSecondStorageDomain) {
   RedundancyFixture f(4, /*storage_racks=*/1);
   JobAllocation job = f.alloc(4, 2);
-  RedundancyOptions opts;
-  opts.scheme = Scheme::kPartner;
   auto plan = redundancy::plan_redundancy(
       f.cluster.topology(), job.assignment, job.rank_nodes,
-      f.cluster.storage_nodes(), opts);
+      f.cluster.storage_nodes(), Scheme::kPartner);
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), ErrorCode::kInvalidArgument);
-
-  // Degraded single-rack mode is available but never co-locates the
-  // replica with the primary device.
-  opts.allow_same_domain = true;
-  plan = redundancy::plan_redundancy(f.cluster.topology(), job.assignment,
-                                     job.rank_nodes,
-                                     f.cluster.storage_nodes(), opts);
-  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
-  for (uint32_t r = 0; r < 4; ++r) {
-    EXPECT_NE(plan->assignment.ssd_nodes[plan->assignment.ssd_of_rank[r]],
-              job.assignment.ssd_nodes[job.assignment.ssd_of_rank[r]]);
-  }
 }
 
 TEST(RedundancyPlacementTest, XorSetsSpanDistinctDomains) {
   RedundancyFixture f(/*storage_nodes=*/5, /*storage_racks=*/5);
   JobAllocation job = f.alloc(4, 4);
-  RedundancyOptions opts;
-  opts.scheme = Scheme::kXor;
-  opts.xor_set_size = 4;
   auto plan = redundancy::plan_redundancy(
       f.cluster.topology(), job.assignment, job.rank_nodes,
-      f.cluster.storage_nodes(), opts);
+      f.cluster.storage_nodes(), Scheme::kXor);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
   ASSERT_EQ(plan->set_members.size(), 1u);
   ASSERT_EQ(plan->set_members[0].size(), 4u);
@@ -167,23 +147,26 @@ TEST(RedundancyPlacementTest, XorSetsSpanDistinctDomains) {
 }
 
 TEST(RedundancyPlacementTest, XorRejectsImpossibleShapes) {
+  static_assert(redundancy::kXorSetSize == 4);
   RedundancyFixture f(4, 2);
-  JobAllocation job = f.alloc(4, 4);
-  RedundancyOptions opts;
-  opts.scheme = Scheme::kXor;
-  opts.xor_set_size = 4;  // only 2 storage domains available
+  JobAllocation job = f.alloc(4, 4);  // only 2 storage domains available
   auto plan = redundancy::plan_redundancy(
       f.cluster.topology(), job.assignment, job.rank_nodes,
-      f.cluster.storage_nodes(), opts);
+      f.cluster.storage_nodes(), Scheme::kXor);
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), ErrorCode::kInvalidArgument);
 
-  opts.xor_set_size = 3;  // 4 ranks not divisible into sets of 3
-  plan = redundancy::plan_redundancy(f.cluster.topology(), job.assignment,
-                                     job.rank_nodes,
-                                     f.cluster.storage_nodes(), opts);
+  // Five domains are enough, but 6 ranks do not divide into sets of 4.
+  RedundancyFixture g(/*storage_nodes=*/5, /*storage_racks=*/5);
+  JobAllocation six = g.alloc(6, 5);
+  plan = redundancy::plan_redundancy(g.cluster.topology(), six.assignment,
+                                     six.rank_nodes,
+                                     g.cluster.storage_nodes(), Scheme::kXor);
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("multiple of kXorSetSize"),
+            std::string::npos)
+      << plan.status().to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -195,10 +178,8 @@ TEST(RedundancyRecoveryTest, PartnerReplicaSurvivesDomainLoss) {
   f.cluster.install_observer({nullptr, &metrics});
   JobAllocation job = f.alloc(4, 2);
   nvmecr_rt::NvmecrSystem primary(f.cluster, job, {});
-  RedundancyOptions opts;
-  opts.scheme = Scheme::kPartner;
   auto dep = redundancy::deploy_redundancy(f.cluster, f.sched, primary, job,
-                                           opts);
+                                           Scheme::kPartner);
   ASSERT_TRUE(dep.ok()) << dep.status().to_string();
   redundancy::RedundantSystem& sys = *dep->system;
 
@@ -268,11 +249,8 @@ TEST(RedundancyRecoveryTest, XorDecodeRebuildsLostMember) {
   RedundancyFixture f(/*storage_nodes=*/5, /*storage_racks=*/5);
   JobAllocation job = f.alloc(4, 4);
   nvmecr_rt::NvmecrSystem primary(f.cluster, job, {});
-  RedundancyOptions opts;
-  opts.scheme = Scheme::kXor;
-  opts.xor_set_size = 4;
   auto dep = redundancy::deploy_redundancy(f.cluster, f.sched, primary, job,
-                                           opts);
+                                           Scheme::kXor);
   ASSERT_TRUE(dep.ok()) << dep.status().to_string();
   redundancy::RedundantSystem& sys = *dep->system;
 
@@ -335,9 +313,8 @@ TEST(RedundancyRecoveryTest, NoneFallsBackToOlderPfsCheckpoint) {
   RedundancyFixture f(4, 2);
   JobAllocation job = f.alloc(4, 2);
   nvmecr_rt::NvmecrSystem primary(f.cluster, job, {});
-  RedundancyOptions opts;  // Scheme::kNone
   auto dep = redundancy::deploy_redundancy(f.cluster, f.sched, primary, job,
-                                           opts);
+                                           Scheme::kNone);
   ASSERT_TRUE(dep.ok()) << dep.status().to_string();
   redundancy::RedundantSystem& sys = *dep->system;
   baselines::LustreModel pfs(f.cluster);

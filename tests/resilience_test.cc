@@ -34,9 +34,9 @@ using nvmecr_rt::RuntimeConfig;
 using nvmecr_rt::Scheduler;
 using resilience::deploy_resilient;
 using resilience::HealthMonitor;
-using resilience::HealthParams;
+using resilience::kDeadAfterMisses;
+using resilience::kHeartbeatPeriod;
 using resilience::ResilientSystem;
-using resilience::RetryPolicy;
 using resilience::TargetState;
 
 ClusterSpec make_spec(uint32_t storage_nodes, uint32_t storage_racks,
@@ -132,7 +132,7 @@ TEST(RetryDeviceTest, ResubmitsTheSameCommand) {
   auto owned = std::make_unique<ProbeDevice>();
   ProbeDevice& probe = *owned;
   resilience::RetryDevice dev(eng, std::move(owned), monitor, node,
-                              RetryPolicy{}, /*jitter_seed=*/1);
+                              /*jitter_seed=*/1);
 
   probe.fail_next = 1;
   Status w = eng.run_task(dev.write_tagged(8192, 64_KiB, /*seed=*/42, 8));
@@ -263,7 +263,7 @@ TEST(HysteresisTest, TenXStragglerIsNotFailedOver) {
 }
 
 // A crashed target must be declared dead within the detection window:
-// max_attempts IO timeouts plus the backoffs between them. The declared
+// kMaxAttempts IO timeouts plus the backoffs between them. The declared
 // time is deterministic — two identical runs agree exactly.
 TEST(HysteresisTest, CrashedTargetDeclaredDeadDeterministically) {
   auto run_once = [](SimTime crash_at) -> std::pair<SimTime, uint64_t> {
@@ -304,14 +304,13 @@ TEST(HysteresisTest, CrashedTargetDeclaredDeadDeterministically) {
   EXPECT_GE(failovers1, 1u);
 
   // Within the detection window: the first IO lands at the crash point,
-  // then at most max_attempts timeouts + max backoffs (with jitter).
-  RetryPolicy policy;
+  // then at most kMaxAttempts timeouts + max backoffs (with jitter).
   const SimDuration io_timeout = 500'000;  // hw::NvmeSsd default
   const SimTime window =
-      policy.max_attempts *
-      (io_timeout +
-       static_cast<SimDuration>(static_cast<double>(policy.max_backoff) *
-                                (1.0 + policy.jitter)));
+      resilience::kMaxAttempts *
+      (io_timeout + static_cast<SimDuration>(
+                        static_cast<double>(resilience::kMaxBackoff) *
+                        (1.0 + resilience::kBackoffJitter)));
   EXPECT_GE(dead1, crash_at);
   EXPECT_LE(dead1, crash_at + window);
 }
@@ -320,23 +319,24 @@ TEST(HysteresisTest, CrashedTargetDeclaredDeadDeterministically) {
 // the state machine through healing, a mid-heal relapse goes straight
 // back to dead.
 TEST(HysteresisTest, HeartbeatStateMachine) {
+  static_assert(kDeadAfterMisses == 3);
+  constexpr SimDuration P = kHeartbeatPeriod;
   Cluster cluster(make_spec(2, 2));
-  HealthMonitor monitor(cluster, HealthParams{.dead_after_misses = 3,
-                                              .heartbeat_period = 100'000});
+  HealthMonitor monitor(cluster);
   const fabric::NodeId node = cluster.storage_nodes()[0];
   monitor.track(node);
 
   nvmf::NvmfTarget& target = cluster.target(0);
-  target.schedule_crash(/*at=*/150'000, /*recover_at=*/650'000);
+  target.schedule_crash(/*at=*/P + P / 2, /*recover_at=*/6 * P + P / 2);
 
-  cluster.engine().spawn(monitor.heartbeat(/*until=*/1 * kMillisecond));
+  cluster.engine().spawn(monitor.heartbeat(/*until=*/10 * P));
   cluster.engine().run();
 
-  // Probes at 100us (ok), 200/300/400us (miss -> suspect -> dead at the
-  // third), 700us+ (ok -> healing). Healing only completes via
-  // note_healed, which nothing issued here.
+  // Probes at P (ok), 2P/3P/4P (miss -> suspect -> dead at the third
+  // miss, the fourth probe), 7P+ (ok -> healing). Healing only
+  // completes via note_healed, which nothing issued here.
   EXPECT_EQ(monitor.state(node), TargetState::kHealing);
-  EXPECT_EQ(monitor.dead_since(node), 400'000);
+  EXPECT_EQ(monitor.dead_since(node), 4 * P);
 
   monitor.note_healed(node);
   EXPECT_EQ(monitor.state(node), TargetState::kHealthy);
@@ -353,7 +353,7 @@ TEST(HysteresisTest, HeartbeatStateMachine) {
 }
 
 // A target that flaps just under the hysteresis boundary — repeated
-// outages two probe periods long against dead_after_misses = 3 — must
+// outages two probe periods long against kDeadAfterMisses = 3 — must
 // oscillate healthy <-> suspect (one false alarm per flap, never a
 // death), and once it finally dies for real and heals, converge to
 // healthy. The whole dance must be deterministic across two runs.
@@ -364,31 +364,31 @@ TEST(HysteresisTest, FlappingTargetConvergesWithBoundedFalseAlarms) {
     uint64_t deaths = 0;
     TargetState final_state = TargetState::kDead;
   };
+  static_assert(kDeadAfterMisses == 3);
   constexpr uint32_t kFlaps = 6;
+  constexpr SimDuration P = kHeartbeatPeriod;
   auto run_flap_scenario = [&]() {
     Cluster cluster(make_spec(2, 2));
     obs::MetricsRegistry metrics;
     cluster.install_observer({nullptr, &metrics});
-    HealthMonitor monitor(cluster, HealthParams{.dead_after_misses = 3,
-                                                .heartbeat_period = 100'000});
+    HealthMonitor monitor(cluster);
     const fabric::NodeId node = cluster.storage_nodes()[0];
     monitor.track(node);
 
-    // Probes land at multiples of 100us. Each flap window [150,350)us
-    // (mod 600us) eats exactly two probes: suspect, then recovery —
-    // one false alarm, never a death.
+    // Probes land at multiples of P. Each flap window [1.5P, 3.5P)
+    // (mod 6P) eats exactly two probes: suspect, then recovery — one
+    // false alarm, never a death.
     nvmf::NvmfTarget& target = cluster.target(0);
     for (uint32_t i = 0; i < kFlaps; ++i) {
-      const SimTime base = static_cast<SimTime>(i) * 600'000;
-      target.schedule_crash(base + 150'000, base + 350'000);
+      const SimTime base = static_cast<SimTime>(i) * 6 * P;
+      target.schedule_crash(base + P + P / 2, base + 3 * P + P / 2);
     }
     // Then one real outage spanning three probes: declared dead, comes
     // back, and (after the healer's report) converges to healthy.
-    const SimTime real = static_cast<SimTime>(kFlaps) * 600'000;
-    target.schedule_crash(real + 150'000, real + 450'000);
+    const SimTime real = static_cast<SimTime>(kFlaps) * 6 * P;
+    target.schedule_crash(real + P + P / 2, real + 4 * P + P / 2);
 
-    cluster.engine().spawn(
-        monitor.heartbeat(/*until=*/real + 1 * kMillisecond));
+    cluster.engine().spawn(monitor.heartbeat(/*until=*/real + 10 * P));
     cluster.engine().run();
 
     EXPECT_EQ(monitor.state(node), TargetState::kHealing);

@@ -84,7 +84,7 @@ TEST(BalancerTest, PlacesDataInPartnerFailureDomain) {
             topo.failure_domain(req.rank_nodes[0]));
 }
 
-TEST(BalancerTest, RefusesSameDomainUnlessAllowed) {
+TEST(BalancerTest, RefusesSameDomain) {
   // Compute and storage in ONE rack: no partner domain exists.
   fabric::Topology topo;
   topo.add_rack(4, fabric::NodeRole::kCompute);
@@ -94,7 +94,6 @@ TEST(BalancerTest, RefusesSameDomainUnlessAllowed) {
   req.storage_nodes = {storage_in_same_rack[1]};
   req.num_ssds = 1;
   EXPECT_FALSE(StorageBalancer::assign(topo, req).ok());
-  EXPECT_TRUE(StorageBalancer::assign(topo, req, true).ok());
 }
 
 TEST(BalancerTest, PartnerDomainsSortedByDistance) {

@@ -5,8 +5,7 @@
 // typed error; hangs, fsck corruption, and digest divergence are
 // violations. On the first violation the campaign ddmin-shrinks the
 // schedule and prints a minimal {seed, event-subset} reproducer
-// (crash_explore parity), plus dumps the schedule for
-// `fault_storm --schedule` replay.
+// (crash_explore parity), plus dumps the schedule for `--replay FILE`.
 //
 // Run:  ./build/examples/chaos_campaign --schedules 200
 //       ./build/examples/chaos_campaign --quick           (50 schedules)
@@ -235,7 +234,7 @@ int main(int argc, char** argv) {
   std::ofstream dump(cli.dump_to);
   dump << serialize_schedule(res.violating_schedule);
   std::fprintf(stderr, "schedule dumped to %s (replayable via "
-               "chaos_campaign --replay or fault_storm --schedule)\n",
+               "chaos_campaign --replay)\n",
                cli.dump_to.c_str());
   return res.exit_code();
 }

@@ -8,18 +8,11 @@
 // Run:  ./build/examples/fault_storm --kill 2 --at mid-checkpoint
 //       ./build/examples/fault_storm --kill 1 --at 5000000 --recover-at 0
 //       ./build/examples/fault_storm --kill 2 --offload
-//       ./build/examples/fault_storm --schedule storm.schedule
 //
 // --offload layers the target-side offload pipeline (digest stage) on
 // top of the resilient system: the storm then also revokes the victims'
 // offload grants, and the demo verifies the stages fell back to host
 // compute while the checkpoint stream kept flowing.
-//
-// --schedule replays a chaos schedule file (the format chaos_campaign
-// dumps on a violation, DESIGN.md §17) instead of the hand-armed storm:
-// every target/SSD crash, link flap, straggler window and partition in
-// the file is injected (job-kill events are skipped — this demo's
-// workload has no kill-and-restart path; use chaos_campaign for those).
 //
 // Exits with the unified chaos codes (chaos/campaign.h): 0 absorbed,
 // 1 infra or an absorb invariant failed, 2 usage, 3 the run failed with
@@ -28,9 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -60,33 +51,24 @@ struct Cli {
   uint64_t seed = 42;
   /// Wrap the resilient system in the offload pipeline (digest stage).
   bool offload = false;
-  /// Chaos schedule file to replay instead of the hand-armed storm.
-  std::string schedule;
 };
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--kill K] [--ranks N] [--at mid-checkpoint|NS]\n"
-               "          [--recover-at NS|-1] [--seed N] [--offload]\n"
-               "          [--schedule FILE]\n",
+               "          [--recover-at NS|-1] [--seed N] [--offload]\n",
                argv0);
   return chaos::kExitUsage;
 }
 
 /// The one command line that reproduces this exact storm: every flag
-/// that changes the run. A replay takes its faults from the schedule
-/// file, so --kill, --at and --recover-at do not apply there.
+/// that changes the run.
 std::string reproducer(const Cli& cli) {
-  std::string line = "fault_storm";
-  if (cli.schedule.empty()) {
-    line += " --kill " + std::to_string(cli.kill) + " --at " +
-            std::to_string(cli.at) + " --recover-at " +
-            std::to_string(cli.recover_at);
-  } else {
-    line += " --schedule " + cli.schedule;
-  }
-  line += " --ranks " + std::to_string(cli.ranks) + " --seed " +
-          std::to_string(cli.seed);
+  std::string line = "fault_storm --kill " + std::to_string(cli.kill) +
+                     " --at " + std::to_string(cli.at) + " --recover-at " +
+                     std::to_string(cli.recover_at) + " --ranks " +
+                     std::to_string(cli.ranks) + " --seed " +
+                     std::to_string(cli.seed);
   if (cli.offload) line += " --offload";
   return line;
 }
@@ -114,36 +96,15 @@ int main(int argc, char** argv) {
       cli.seed = std::strtoull(v, nullptr, 0);
     } else if (std::strcmp(argv[i], "--offload") == 0) {
       cli.offload = true;
-    } else if (std::strcmp(argv[i], "--schedule") == 0 && (v = next())) {
-      cli.schedule = v;
     } else {
       return usage(argv[0]);
     }
   }
 
-  // Replay mode: load the schedule up front — it sizes the storage side.
-  std::optional<chaos::FailureSchedule> replay;
-  if (!cli.schedule.empty()) {
-    std::ifstream in(cli.schedule);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", cli.schedule.c_str());
-      return chaos::kExitInfra;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto sched = chaos::parse_schedule(buf.str());
-    if (!sched.ok()) {
-      std::fprintf(stderr, "bad schedule %s: %s\n", cli.schedule.c_str(),
-                   sched.status().to_string().c_str());
-      return chaos::kExitUsage;
-    }
-    replay = *std::move(sched);
-  }
-
   nvmecr_rt::ClusterSpec spec;
   spec.compute_nodes = 8;
-  spec.storage_nodes = replay ? replay->params.storage_nodes : 8;
-  spec.storage_racks = replay ? replay->params.racks : 4;
+  spec.storage_nodes = 8;
+  spec.storage_racks = 4;
   nvmecr_rt::Cluster cluster(spec);
   obs::MetricsRegistry metrics;
   // Flight recorder: keep only the most recent trace events. The
@@ -174,7 +135,7 @@ int main(int argc, char** argv) {
                  job.status().to_string().c_str());
     return chaos::kExitInfra;
   }
-  if (!replay && cli.kill > job->assignment.ssd_nodes.size()) {
+  if (cli.kill > job->assignment.ssd_nodes.size()) {
     std::fprintf(stderr, "--kill %u > %zu allocated targets\n", cli.kill,
                  job->assignment.ssd_nodes.size());
     return chaos::kExitUsage;
@@ -212,45 +173,23 @@ int main(int argc, char** argv) {
   const bool recovers = recover_at != 0;
 
   std::vector<fabric::NodeId> victims;
-  if (replay) {
-    const chaos::InjectionStats faults =
-        chaos::apply_schedule(cluster, *replay);
-    std::printf("replay: %s — %u of %zu events armed (%u target, %u ssd, "
-                "%u link, %u straggler, %u partition%s)\n",
-                cli.schedule.c_str(), faults.applied, replay->events.size(),
-                faults.target_crashes, faults.ssd_crashes, faults.link_downs,
-                faults.stragglers, faults.partitions,
-                faults.kill ? "; job-kill skipped" : "");
-    // Report per-victim health for the crashed targets below.
-    for (const chaos::FailureEvent& e : replay->events) {
-      if (e.kind != chaos::FaultKind::kTargetCrash) continue;
-      const fabric::NodeId n = cluster.storage_nodes()
-          [e.victim % cluster.storage_nodes().size()];
-      bool seen = false;
-      for (fabric::NodeId have : victims) seen = seen || have == n;
-      if (!seen) victims.push_back(n);
-    }
-  } else {
-    for (uint32_t i = 0; i < cli.kill; ++i) {
-      const fabric::NodeId n = job->assignment.ssd_nodes[i];
-      victims.push_back(n);
-      cluster.storage_ssd(cluster.storage_ssd_index(n))
-          .schedule_crash(kill_at, recover_at);
-      cluster.target(cluster.storage_ssd_index(n))
-          .schedule_crash(kill_at, recover_at);
-      std::printf("storm: target node %u dies at %lld ns%s\n", n,
-                  static_cast<long long>(kill_at),
-                  recovers ? "" : " (forever)");
-    }
-    if (recovers) {
-      std::printf("storm: victims recover at %lld ns\n",
-                  static_cast<long long>(recover_at));
-    }
+  for (uint32_t i = 0; i < cli.kill; ++i) {
+    const fabric::NodeId n = job->assignment.ssd_nodes[i];
+    victims.push_back(n);
+    cluster.storage_ssd(cluster.storage_ssd_index(n))
+        .schedule_crash(kill_at, recover_at);
+    cluster.target(cluster.storage_ssd_index(n))
+        .schedule_crash(kill_at, recover_at);
+    std::printf("storm: target node %u dies at %lld ns%s\n", n,
+                static_cast<long long>(kill_at), recovers ? "" : " (forever)");
+  }
+  if (recovers) {
+    std::printf("storm: victims recover at %lld ns\n",
+                static_cast<long long>(recover_at));
   }
 
   const SimTime horizon =
-      replay ? replay->params.horizon + 100 * kMillisecond
-             : (recovers ? recover_at : kill_at) + 100 * kMillisecond;
+      (recovers ? recover_at : kill_at) + 100 * kMillisecond;
   sys.spawn_daemons(horizon);
 
   auto r = workloads::ComdDriver::run(cluster, run_sys, params);
@@ -294,15 +233,12 @@ int main(int argc, char** argv) {
   }
 
   int rc = chaos::kExitOk;
-  if (!replay && cli.kill > 0 && sys.failovers() == 0) {
+  if (cli.kill > 0 && sys.failovers() == 0) {
     std::fprintf(stderr, "FAIL: storm killed %u targets but no failover "
                  "happened\n", cli.kill);
     rc = chaos::kExitInfra;
   }
-  // The healing invariants only bind in storm mode: a replayed schedule
-  // may leave victims permanently dead, which is an acceptable degraded
-  // completion, not a bug.
-  if (!replay && recovers) {
+  if (recovers) {
     if (!sys.degraded_ranks().empty()) {
       std::fprintf(stderr, "FAIL: degraded files remain after healing\n");
       rc = chaos::kExitInfra;

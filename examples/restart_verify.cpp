@@ -96,19 +96,10 @@ struct Stack {
   }
 };
 
-AppRunParams scenario_params(const AppSpec& spec, const Cli& cli,
-                             bool with_pfs) {
+AppRunParams scenario_params(const Cli& cli, bool with_pfs) {
   AppRunParams p;
-  p.io = workloads::io_params_for(spec, cli.ranks);
-  // Shrink the simulated streams so the matrix runs in seconds; the
-  // verified solver state (fixed size per rank) is independent of them.
-  p.io.procs_per_node = cli.ranks;
-  p.io.atoms_per_rank = 4096;
-  p.io.bytes_per_atom = 512;  // 2 MiB per rank per checkpoint
-  p.io.io_chunk = 1_MiB;
-  p.io.checkpoints = cli.epochs;
-  p.io.compute_per_period = 2 * kMillisecond;
-  p.io.keep_last = cli.epochs + 1;  // keep everything: probe freely
+  p.ranks = cli.ranks;
+  p.epochs = cli.epochs;
   p.seed = cli.seed;
   p.pfs_interval = with_pfs ? 2 : 0;
   return p;
@@ -133,7 +124,7 @@ int run_scenario(const AppSpec& spec, KillPoint point, const Cli& cli,
 
   Stack golden_stack(cli.ranks, with_pfs);
   AppDriver golden_driver(golden_stack.cluster, *golden_stack.fast, spec,
-                          scenario_params(spec, cli, with_pfs),
+                          scenario_params(cli, with_pfs),
                           with_pfs ? &*golden_stack.pfs : nullptr);
   auto golden = golden_driver.run();
   if (!golden.ok()) {
@@ -144,7 +135,7 @@ int run_scenario(const AppSpec& spec, KillPoint point, const Cli& cli,
 
   Stack stack(cli.ranks, with_pfs);
   AppDriver driver(stack.cluster, *stack.fast, spec,
-                   scenario_params(spec, cli, with_pfs),
+                   scenario_params(cli, with_pfs),
                    with_pfs ? &*stack.pfs : nullptr);
   KillSpec kill;
   kill.epoch = kill_epoch;

@@ -2,6 +2,14 @@
 
 namespace nvmecr::baselines {
 
+namespace {
+/// RPC envelope sizes, request and response.
+constexpr uint64_t kRpcRequest = 256;
+constexpr uint64_t kRpcResponse = 128;
+/// Transfer chunk for data RPCs to a whole-file (unstriped) server.
+constexpr uint64_t kDataChunk = 1_MiB;
+}  // namespace
+
 uint64_t stripe_share(uint64_t off, uint64_t len, uint64_t unit,
                       size_t index, size_t nservers) {
   if (len == 0 || index >= nservers) return 0;
@@ -39,13 +47,13 @@ class DfsClient final : public StorageClient {
       const uint32_t ds = system_.dir_server(path);
       DfsServer& dir = *system_.servers_[ds];
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          node_, server_node(ds), system_.costs_.rpc_request + 160));
+          node_, server_node(ds), kRpcRequest + 160));
       Status ws = co_await append_md_log(ds);
       if (!ws.ok()) co_return Result(ws);
       dir.md_bytes += system_.costs_.md_per_file_bytes;
       ++dir.files;
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          server_node(ds), node_, system_.costs_.rpc_response));
+          server_node(ds), node_, kRpcResponse));
     } else {
       // Namespace op: RPC to the directory server, serialized under its
       // shared-directory lock (every rank's create lands here — the
@@ -53,14 +61,14 @@ class DfsClient final : public StorageClient {
       const uint32_t ds = system_.dir_server(path);
       DfsServer& dir = *system_.servers_[ds];
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          node_, server_node(ds), system_.costs_.rpc_request));
+          node_, server_node(ds), kRpcRequest));
       co_await dir.dir_lock.lock();
       co_await eng.delay(system_.costs_.server_md_op);
       dir.md_bytes += system_.costs_.md_per_file_bytes;
       ++dir.files;
       dir.dir_lock.unlock();
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          server_node(ds), node_, system_.costs_.rpc_response));
+          server_node(ds), node_, kRpcResponse));
     }
 
     // Create the backing object(s) on the data server(s).
@@ -88,12 +96,12 @@ class DfsClient final : public StorageClient {
     const uint32_t ds = system_.dir_server(path);
     DfsServer& dir = *system_.servers_[ds];
     NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-        node_, server_node(ds), system_.costs_.rpc_request));
+        node_, server_node(ds), kRpcRequest));
     co_await dir.dir_lock.lock();
     co_await eng.delay(system_.costs_.server_md_op / 2);  // lookup is lighter
     dir.dir_lock.unlock();
     NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-        server_node(ds), node_, system_.costs_.rpc_response));
+        server_node(ds), node_, kRpcResponse));
 
     const std::vector<uint32_t> data = system_.data_servers(path);
     std::vector<int> server_fds(system_.servers_.size(), -1);
@@ -119,9 +127,8 @@ class DfsClient final : public StorageClient {
     // CPU is charged in aggregate and the payload moves per-server in
     // one transfer — bandwidth-exact, and it keeps the event count
     // independent of the stripe size.
-    const uint64_t unit = of.servers.size() > 1
-                              ? system_.stripe_unit()
-                              : system_.costs_.data_chunk;
+    const uint64_t unit =
+        of.servers.size() > 1 ? system_.stripe_unit() : kDataChunk;
     const uint64_t stripes = ceil_div(len, unit);
     co_await eng.delay(system_.costs_.client_per_op *
                        static_cast<SimDuration>(stripes));
@@ -132,14 +139,13 @@ class DfsClient final : public StorageClient {
       const uint32_t s = of.servers[i];
       const uint64_t stripes_s = ceil_div(share, unit);
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          node_, server_node(s),
-          system_.costs_.rpc_request * stripes_s + share));
+          node_, server_node(s), kRpcRequest * stripes_s + share));
       Status st =
           co_await system_.servers_[s]->fs.write(of.server_fds[s], share);
       if (!st.ok()) co_return st;
       system_.servers_[s]->data_bytes += share;
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          server_node(s), node_, system_.costs_.rpc_response * stripes_s));
+          server_node(s), node_, kRpcResponse * stripes_s));
     }
     of.write_off += len;
     co_return OkStatus();
@@ -150,9 +156,8 @@ class DfsClient final : public StorageClient {
     if (it == open_files_.end()) co_return BadFdError();
     OpenFile& of = it->second;
     sim::Engine& eng = system_.cluster_.engine();
-    const uint64_t unit = of.servers.size() > 1
-                              ? system_.stripe_unit()
-                              : system_.costs_.data_chunk;
+    const uint64_t unit =
+        of.servers.size() > 1 ? system_.stripe_unit() : kDataChunk;
     const uint64_t stripes = ceil_div(len, unit);
     co_await eng.delay(system_.costs_.client_per_op *
                        static_cast<SimDuration>(stripes));
@@ -163,13 +168,12 @@ class DfsClient final : public StorageClient {
       const uint32_t s = of.servers[i];
       const uint64_t stripes_s = ceil_div(share, unit);
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          node_, server_node(s), system_.costs_.rpc_request * stripes_s));
+          node_, server_node(s), kRpcRequest * stripes_s));
       Status st =
           co_await system_.servers_[s]->fs.read(of.server_fds[s], share);
       if (!st.ok()) co_return st;
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          server_node(s), node_,
-          system_.costs_.rpc_response * stripes_s + share));
+          server_node(s), node_, kRpcResponse * stripes_s + share));
     }
     of.read_off += len;
     co_return OkStatus();
@@ -182,9 +186,9 @@ class DfsClient final : public StorageClient {
     co_await system_.cluster_.engine().delay(system_.costs_.client_per_op);
     for (uint32_t s : of.servers) {
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          node_, server_node(s), system_.costs_.rpc_request));
+          node_, server_node(s), kRpcRequest));
       NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-          server_node(s), node_, system_.costs_.rpc_response));
+          server_node(s), node_, kRpcResponse));
       Status st = co_await system_.servers_[s]->fs.fsync(of.server_fds[s]);
       if (!st.ok()) co_return st;
     }
@@ -209,7 +213,7 @@ class DfsClient final : public StorageClient {
     const uint32_t ds = system_.dir_server(path);
     DfsServer& dir = *system_.servers_[ds];
     NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-        node_, server_node(ds), system_.costs_.rpc_request));
+        node_, server_node(ds), kRpcRequest));
     co_await dir.dir_lock.lock();
     co_await eng.delay(system_.costs_.server_md_op);
     if (dir.md_bytes >= system_.costs_.md_per_file_bytes) {
@@ -218,7 +222,7 @@ class DfsClient final : public StorageClient {
     if (dir.files > 0) --dir.files;
     dir.dir_lock.unlock();
     NVMECR_CO_RETURN_IF_ERROR(co_await system_.cluster_.network().transfer(
-        server_node(ds), node_, system_.costs_.rpc_response));
+        server_node(ds), node_, kRpcResponse));
     for (uint32_t s : system_.data_servers(path)) {
       Status st = co_await system_.servers_[s]->fs.unlink(object_name(path));
       if (!st.ok() && st.code() != ErrorCode::kNotFound) co_return st;

@@ -32,11 +32,6 @@ struct DfsCosts {
   /// Server metadata critical section per namespace op (under the
   /// directory lock of the server owning the parent directory).
   SimDuration server_md_op = 60_us;
-  /// RPC envelope sizes.
-  uint64_t rpc_request = 256;
-  uint64_t rpc_response = 128;
-  /// Transfer chunk for data RPCs.
-  uint64_t data_chunk = 1_MiB;
   /// Fixed + per-file metadata storage charged to the owning server
   /// (Table I accounting).
   uint64_t md_fixed_bytes = 0;

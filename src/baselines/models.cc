@@ -205,8 +205,7 @@ class LustreClient final : public StorageClient {
       const uint64_t piece = std::min<uint64_t>(1_MiB, len - pos);
       const auto oss = static_cast<uint32_t>(
           ((it->second.write_off + pos) / 1_MiB) % system_.oss_pipes_.size());
-      co_await system_.cluster_.engine().delay(
-          system_.kcosts_.block_layer_per_req);
+      co_await system_.cluster_.engine().delay(kernelfs::kBlockLayerPerReq);
       s = co_await system_.cluster_.network().transfer(
           node_, oss_node(oss), piece + 256);
       if (!s.ok()) break;
@@ -232,8 +231,7 @@ class LustreClient final : public StorageClient {
       const uint64_t piece = std::min<uint64_t>(1_MiB, len - pos);
       const auto oss = static_cast<uint32_t>(
           ((it->second.read_off + pos) / 1_MiB) % system_.oss_pipes_.size());
-      co_await system_.cluster_.engine().delay(
-          system_.kcosts_.block_layer_per_req);
+      co_await system_.cluster_.engine().delay(kernelfs::kBlockLayerPerReq);
       s = co_await system_.cluster_.network().transfer(node_, oss_node(oss),
                                                        256);
       if (!s.ok()) break;
@@ -288,8 +286,8 @@ class LustreClient final : public StorageClient {
 
   sim::Task<void> syscall_enter() {
     syscall_start_ = system_.cluster_.engine().now();
-    co_await system_.cluster_.engine().delay(system_.kcosts_.syscall_trap +
-                                             system_.kcosts_.vfs_per_op);
+    co_await system_.cluster_.engine().delay(kernelfs::kSyscallTrap +
+                                             kernelfs::kVfsPerOp);
   }
   void syscall_exit() {
     system_.kernel_time_ +=

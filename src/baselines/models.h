@@ -5,15 +5,15 @@
 // is documented per-experiment in EXPERIMENTS.md.
 #pragma once
 
-#include "baselines/consistent_hash.h"
 #include "baselines/dfs_base.h"
+#include "common/rng.h"
 #include "nvmf/target.h"
 
 namespace nvmecr::baselines {
 
-/// GlusterFS-like: whole-file placement by consistent hashing (elastic
-/// DHT), XFS bricks underneath, creates serialized through the server
-/// holding the parent directory. Peaks near 84% of hardware bandwidth
+/// GlusterFS-like: each whole file on brick mix64(fnv1a(path)) % bricks
+/// (elastic DHT), XFS bricks underneath, creates serialized through the
+/// server holding the parent directory. Peaks near 84% of hardware bandwidth
 /// (Figure 1) because the brick writeback pipeline is the kernel-FS
 /// path; load CoV is high at low file counts (Figure 7(b)).
 class GlusterFsModel final : public DfsSystem {
@@ -238,7 +238,6 @@ class LustreModel final : public StorageSystem {
   std::vector<uint64_t> oss_bytes_;
   uint64_t md_bytes_ = 0;
   SimDuration kernel_time_ = 0;
-  kernelfs::KernelCosts kcosts_;
 };
 
 }  // namespace nvmecr::baselines

@@ -76,24 +76,16 @@ ScheduleParams CampaignRunner::schedule_params(uint32_t index) const {
 
 namespace {
 
-constexpr uint64_t kWorkloadSeed = 0x5EED;
 /// Heartbeat/healer daemons run until schedule horizon + this margin.
 constexpr SimDuration kHealMargin = 50 * kMillisecond;
 
-AppRunParams campaign_params(const AppSpec& spec, const CampaignConfig& cfg) {
+AppRunParams campaign_params(const CampaignConfig& cfg) {
   AppRunParams p;
-  p.io = workloads::io_params_for(spec, cfg.ranks);
-  // Shrunk streams (restart_verify's sizing): the verified solver state
-  // is independent of the simulated stream bytes.
-  p.io.procs_per_node = 1;
-  p.io.atoms_per_rank = 2048;
-  p.io.bytes_per_atom = 512;  // 1 MiB per rank per checkpoint
-  p.io.io_chunk = 1_MiB;
-  p.io.checkpoints = cfg.epochs;
-  p.io.compute_per_period = 2 * kMillisecond;
-  p.io.keep_last = cfg.epochs + 1;  // keep everything: probe freely
-  p.seed = kWorkloadSeed;
-  p.pfs_interval = 0;
+  p.ranks = cfg.ranks;
+  p.epochs = cfg.epochs;
+  // Shrunk streams: the verified solver state is independent of the
+  // simulated stream bytes.
+  p.stream_bytes = 1_MiB;
   p.deadline = kPhaseDeadline;
   return p;
 }
@@ -125,7 +117,7 @@ const AppRunResult& CampaignRunner::golden() {
     auto job = sched.allocate(cfg_.ranks, 1, 64_MiB, cfg_.base.storage_nodes);
     NVMECR_CHECK(job.ok());
     nvmecr_rt::NvmecrSystem fast(cluster, *job, nvmecr_rt::RuntimeConfig{});
-    AppDriver driver(cluster, fast, *spec, campaign_params(*spec, cfg_));
+    AppDriver driver(cluster, fast, *spec, campaign_params(cfg_));
     auto r = driver.run();
     NVMECR_CHECK(r.ok());
     golden_ = std::move(*r);
@@ -167,7 +159,7 @@ RunOutcome CampaignRunner::run_schedule(const FailureSchedule& sched,
   // run deadline (see AppRunParams::deadline).
   sys.spawn_daemons(sched.params.horizon + kHealMargin);
 
-  AppDriver driver(cluster, sys, *spec, campaign_params(*spec, cfg_));
+  AppDriver driver(cluster, sys, *spec, campaign_params(cfg_));
   const KillSpec kill = out.faults.kill.value_or(KillSpec{});
   sim::Engine& eng = cluster.engine();
   const SimTime t0 = eng.now();

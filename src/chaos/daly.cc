@@ -76,18 +76,11 @@ struct SweepStack {
   }
 };
 
-AppRunParams sweep_params(const AppSpec& spec, double interval,
-                          uint32_t epochs) {
+AppRunParams sweep_params(double interval, uint32_t epochs) {
   AppRunParams a;
-  a.io = workloads::io_params_for(spec, kRanks);
-  a.io.procs_per_node = 1;
-  a.io.atoms_per_rank = 4096;
-  a.io.bytes_per_atom = 512;  // 2 MiB per rank per checkpoint
-  a.io.io_chunk = 1_MiB;
-  a.io.checkpoints = epochs;
-  a.io.compute_per_period = static_cast<SimDuration>(interval);
-  a.io.compute_jitter = 0;  // keep epoch wall time = I + delta exactly
-  a.io.keep_last = epochs + 1;
+  a.ranks = kRanks;
+  a.epochs = epochs;
+  a.compute_per_period = static_cast<SimDuration>(interval);
   a.seed = kSeed;
   return a;
 }
@@ -101,7 +94,7 @@ std::optional<double> run_experiment(const AppSpec& spec, double interval,
                                      uint32_t* failures) {
   SweepStack stack;
   AppDriver driver(stack.cluster, *stack.fast, spec,
-                   sweep_params(spec, interval, epochs));
+                   sweep_params(interval, epochs));
   Rng rng(mix64(stream_seed ^ 0xFA17D0A1Full));
   auto draw = [&rng]() {
     return -kMtbf * std::log(std::max(rng.uniform01(), 1e-12));
@@ -150,8 +143,10 @@ std::optional<double> run_experiment(const AppSpec& spec, double interval,
 SweepResult interval_sweep() {
   SweepResult out;
   out.mtbf = kMtbf;
-  const AppSpec* spec = workloads::find_app(kApp);
-  NVMECR_CHECK(spec != nullptr);
+  const AppSpec* found = workloads::find_app(kApp);
+  NVMECR_CHECK(found != nullptr);
+  AppSpec spec = *found;
+  spec.jitter = 0;  // keep epoch wall time = I + delta exactly
 
   // Calibrate the per-epoch checkpoint overhead δ on the real stack: a
   // clean run's epoch wall time minus its compute interval (includes
@@ -160,8 +155,8 @@ SweepResult interval_sweep() {
     const double cal_interval = 4.0 * kMillisecond;
     const uint32_t cal_epochs = 6;
     SweepStack stack;
-    AppDriver driver(stack.cluster, *stack.fast, *spec,
-                     sweep_params(*spec, cal_interval, cal_epochs));
+    AppDriver driver(stack.cluster, *stack.fast, spec,
+                     sweep_params(cal_interval, cal_epochs));
     auto r = driver.run();
     NVMECR_CHECK(r.ok());
     out.delta =
@@ -185,7 +180,7 @@ SweepResult interval_sweep() {
     double eff_sum = 0;
     uint32_t reps_ok = 0;
     for (uint32_t rep = 0; rep < kReps; ++rep) {
-      auto total = run_experiment(*spec, interval, epochs, out.delta,
+      auto total = run_experiment(spec, interval, epochs, out.delta,
                                   kSeed + rep, &pt.failures);
       if (!total.has_value() || *total <= 0) continue;
       eff_sum += useful / *total;

@@ -27,7 +27,7 @@
 //
 // Schedules serialize to a line-oriented text format so a failing
 // campaign run can be dumped to a file and replayed byte-identically by
-// `fault_storm --schedule` or `chaos_campaign --replay`.
+// `chaos_campaign --replay`.
 #pragma once
 
 #include <string>
@@ -112,8 +112,8 @@ struct FailureSchedule {
 /// same params (incl. seed) -> byte-identical schedule.
 FailureSchedule generate_schedule(const ScheduleParams& params);
 
-/// Line-oriented text form, parseable by parse_schedule and the
-/// `--schedule` flags of fault_storm / chaos_campaign.
+/// Line-oriented text form, parseable by parse_schedule (what
+/// `chaos_campaign --replay` reads).
 std::string serialize_schedule(const FailureSchedule& sched);
 StatusOr<FailureSchedule> parse_schedule(const std::string& text);
 

@@ -60,8 +60,8 @@ class Rng {
   uint64_t s_[4];
 };
 
-/// 64-bit avalanche hash (Murmur3 finalizer); used for consistent hashing
-/// in the GlusterFS-like placement model.
+/// 64-bit avalanche hash (Murmur3 finalizer); the comparator models hash
+/// file paths onto servers with it.
 inline uint64_t mix64(uint64_t k) {
   k ^= k >> 33;
   k *= 0xff51afd7ed558ccdull;

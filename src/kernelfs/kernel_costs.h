@@ -1,11 +1,13 @@
-// Cost constants for the kernel IO path (Figure 2's stack).
+// Cost constants for the kernel IO path (Figure 2's stack) that more
+// than one model charges: LocalFs, the Lustre client and NVMe-CR's
+// kernel-path configuration.
 //
 // Calibration sources: syscall entry/exit on Skylake-era CPUs is ~1.3 us
-// with mitigations; copy_{from,to}_user runs near memcpy speed; the block
-// layer + interrupt completion path costs a few microseconds per request
-// and splits IO at the device's max transfer size. The *filesystem*
-// writeback pipeline (journaling, allocation serialization) is what
-// separates ext4 from XFS — see LocalFsParams.
+// with mitigations; the block layer + interrupt completion path costs a
+// few microseconds per request. Only LocalFs charges the page-cache copy
+// bandwidth and the request split size, so those live in localfs.cc. The
+// *filesystem* writeback pipeline (journaling, allocation serialization)
+// is what separates ext4 from XFS — see LocalFsParams.
 #pragma once
 
 #include "common/units.h"
@@ -14,19 +16,13 @@ namespace nvmecr::kernelfs {
 
 using namespace nvmecr::literals;
 
-struct KernelCosts {
-  /// User->kernel->user transition per syscall.
-  SimDuration syscall_trap = 1300;  // ns
-  /// VFS work per operation: fd lookup, dentry walk, permission checks.
-  SimDuration vfs_per_op = 700;  // ns
-  /// copy_from_user / copy_to_user bandwidth through the page cache.
-  uint64_t page_cache_bw = 5_GBps;
-  /// Block-layer request setup (bio alloc, tagging, doorbell).
-  SimDuration block_layer_per_req = 3_us;
-  /// Interrupt + softirq completion handling per request.
-  SimDuration interrupt_per_req = 3_us;
-  /// Kernel splits large IO into requests of at most this size.
-  uint64_t max_request_bytes = 512_KiB;
-};
+/// User->kernel->user transition per syscall.
+inline constexpr SimDuration kSyscallTrap = 1300;  // ns
+/// VFS work per operation: fd lookup, dentry walk, permission checks.
+inline constexpr SimDuration kVfsPerOp = 700;  // ns
+/// Block-layer request setup (bio alloc, tagging, doorbell).
+inline constexpr SimDuration kBlockLayerPerReq = 3_us;
+/// Interrupt + softirq completion handling per request.
+inline constexpr SimDuration kInterruptPerReq = 3_us;
 
 }  // namespace nvmecr::kernelfs

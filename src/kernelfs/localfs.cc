@@ -8,6 +8,11 @@ namespace nvmecr::kernelfs {
 
 namespace {
 
+/// copy_from_user / copy_to_user bandwidth through the page cache.
+constexpr uint64_t kPageCacheBw = 5_GBps;
+/// The kernel splits large IO into requests of at most this size.
+constexpr uint64_t kMaxRequestBytes = 512_KiB;
+
 /// Maps a logical (file base + offset) position to an aligned device
 /// offset that fits a request of `aligned_len` bytes. The cost model only
 /// needs placement to be deterministic and in-range, not extent-exact.
@@ -35,14 +40,13 @@ class SyscallScope {
 }  // namespace
 
 LocalFs::LocalFs(sim::Engine& engine, hw::NvmeSsd& ssd, uint32_t nsid,
-                 LocalFsParams params, KernelCosts costs)
+                 LocalFsParams params)
     : engine_(engine),
       ssd_(ssd),
       nsid_(nsid),
       queue_id_(ssd.alloc_queue().value()),
       dev_(ssd.open_queue(nsid, queue_id_)),
       params_(params),
-      costs_(costs),
       dir_lock_(engine),
       writeback_pipe_(engine, params.writeback_bw),
       journal_lock_(engine) {}
@@ -51,7 +55,7 @@ LocalFs::~LocalFs() { ssd_.free_queue(queue_id_); }
 
 sim::Task<StatusOr<int>> LocalFs::open(const std::string& path, bool create) {
   SyscallScope scope(engine_, kernel_time_);
-  co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
+  co_await engine_.delay(kSyscallTrap + kVfsPerOp);
 
   auto it = files_.find(path);
   if (it == files_.end()) {
@@ -100,9 +104,9 @@ sim::Task<Status> LocalFs::write(int fd, uint64_t len) {
   // concurrent close cannot free the file under it.
   const std::shared_ptr<File> file = *slot;
 
-  co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
+  co_await engine_.delay(kSyscallTrap + kVfsPerOp);
   // copy_from_user into the page cache.
-  co_await engine_.delay(transfer_time(len, costs_.page_cache_bw));
+  co_await engine_.delay(transfer_time(len, kPageCacheBw));
   // Allocation for the newly touched fs blocks.
   const uint64_t new_blocks = ceil_div(len, params_.fs_block);
   co_await engine_.delay(
@@ -118,16 +122,16 @@ sim::Task<Status> LocalFs::writeback(File& file, uint64_t bytes) {
   uint64_t remaining = bytes;
   uint64_t offset = file.size - file.dirty;
   while (remaining > 0) {
-    const uint64_t req = std::min(remaining, costs_.max_request_bytes);
+    const uint64_t req = std::min(remaining, kMaxRequestBytes);
     // Journal/allocator pipeline ceiling, shared across all writers.
     co_await engine_.sleep_until(writeback_pipe_.reserve(req));
     // Block layer + device + interrupt completion.
-    co_await engine_.delay(costs_.block_layer_per_req);
+    co_await engine_.delay(kBlockLayerPerReq);
     const uint64_t aligned = round_up(req, dev_->hw_block_size());
     Status s = co_await dev_->write_tagged(
         place(*dev_, file.device_base + offset, aligned), aligned, file.seed);
     if (!s.ok()) co_return s;
-    co_await engine_.delay(costs_.interrupt_per_req);
+    co_await engine_.delay(kInterruptPerReq);
     offset += req;
     remaining -= req;
   }
@@ -140,7 +144,7 @@ sim::Task<Status> LocalFs::fsync(int fd) {
   if (slot == nullptr) co_return BadFdError();
   const std::shared_ptr<File> file = *slot;
 
-  co_await engine_.delay(costs_.syscall_trap);
+  co_await engine_.delay(kSyscallTrap);
   if (file->dirty > 0) {
     Status s = co_await writeback(*file, file->dirty);
     if (!s.ok()) co_return s;
@@ -149,7 +153,7 @@ sim::Task<Status> LocalFs::fsync(int fd) {
   // Journal commit: serialized (single commit thread), small write +
   // device flush.
   co_await journal_lock_.lock();
-  co_await engine_.delay(costs_.block_layer_per_req);
+  co_await engine_.delay(kBlockLayerPerReq);
   const uint64_t commit_len =
       round_up(params_.journal_commit_bytes, dev_->hw_block_size());
   Status s = co_await dev_->write_tagged(
@@ -159,7 +163,7 @@ sim::Task<Status> LocalFs::fsync(int fd) {
   // REQ_PREFLUSH: the device's volatile cache settles within a bounded
   // latency; it does not wait for the entire flash backlog.
   co_await engine_.delay(params_.journal_flush_latency);
-  co_await engine_.delay(costs_.interrupt_per_req);
+  co_await engine_.delay(kInterruptPerReq);
   journal_lock_.unlock();
   co_return s;
 }
@@ -170,19 +174,19 @@ sim::Task<Status> LocalFs::read(int fd, uint64_t len) {
   if (slot == nullptr) co_return BadFdError();
   const std::shared_ptr<File> file = *slot;
 
-  co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
+  co_await engine_.delay(kSyscallTrap + kVfsPerOp);
   uint64_t remaining =
       std::min(len, file->size - std::min(file->size, file->read_pos));
   while (remaining > 0) {
-    const uint64_t req = std::min(remaining, costs_.max_request_bytes);
-    co_await engine_.delay(costs_.block_layer_per_req);
+    const uint64_t req = std::min(remaining, kMaxRequestBytes);
+    co_await engine_.delay(kBlockLayerPerReq);
     const uint64_t aligned = round_up(req, dev_->hw_block_size());
     auto tag = co_await dev_->read_tagged(
         place(*dev_, file->device_base + file->read_pos, aligned), aligned);
     if (!tag.ok()) co_return tag.status();
-    co_await engine_.delay(costs_.interrupt_per_req);
+    co_await engine_.delay(kInterruptPerReq);
     // copy_to_user.
-    co_await engine_.delay(transfer_time(req, costs_.page_cache_bw));
+    co_await engine_.delay(transfer_time(req, kPageCacheBw));
     file->read_pos += req;
     remaining -= req;
   }
@@ -191,7 +195,7 @@ sim::Task<Status> LocalFs::read(int fd, uint64_t len) {
 
 sim::Task<Status> LocalFs::close(int fd) {
   SyscallScope scope(engine_, kernel_time_);
-  co_await engine_.delay(costs_.syscall_trap);
+  co_await engine_.delay(kSyscallTrap);
   std::shared_ptr<File>* slot = fd_slot(fd);
   if (slot == nullptr) co_return BadFdError();
   slot->reset();
@@ -201,7 +205,7 @@ sim::Task<Status> LocalFs::close(int fd) {
 
 sim::Task<Status> LocalFs::unlink(const std::string& path) {
   SyscallScope scope(engine_, kernel_time_);
-  co_await engine_.delay(costs_.syscall_trap + costs_.vfs_per_op);
+  co_await engine_.delay(kSyscallTrap + kVfsPerOp);
   co_await dir_lock_.lock();
   co_await engine_.delay(params_.dir_op_cost);
   const bool existed = files_.erase(path) > 0;

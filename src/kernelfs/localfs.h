@@ -76,7 +76,7 @@ class LocalFs {
   /// Creates the filesystem over namespace `nsid` of `ssd`, holding one
   /// kernel hardware queue (the in-kernel nvme driver's submission path).
   LocalFs(sim::Engine& engine, hw::NvmeSsd& ssd, uint32_t nsid,
-          LocalFsParams params = {}, KernelCosts costs = {});
+          LocalFsParams params = {});
   ~LocalFs();
 
   LocalFs(const LocalFs&) = delete;
@@ -133,7 +133,6 @@ class LocalFs {
   uint32_t queue_id_;
   std::unique_ptr<hw::BlockDevice> dev_;
   LocalFsParams params_;
-  KernelCosts costs_;
 
   sim::FifoMutex dir_lock_;
   sim::BandwidthResource writeback_pipe_;

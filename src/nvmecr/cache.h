@@ -37,11 +37,8 @@ class CachedClient final : public baselines::StorageClient {
  public:
   CachedClient(sim::Engine& engine,
                std::unique_ptr<baselines::StorageClient> inner,
-               uint64_t capacity_bytes, uint64_t dram_bw = 8_GBps)
-      : engine_(engine),
-        inner_(std::move(inner)),
-        capacity_(capacity_bytes),
-        dram_bw_(dram_bw) {}
+               uint64_t capacity_bytes)
+      : engine_(engine), inner_(std::move(inner)), capacity_(capacity_bytes) {}
 
   sim::Task<StatusOr<int>> create(const std::string& path) override {
     invalidate(path);
@@ -67,7 +64,7 @@ class CachedClient final : public baselines::StorageClient {
       auto it = open_.find(fd);
       if (it != open_.end()) {
         // The DRAM copy costs a memcpy.
-        co_await engine_.delay(transfer_time(len, dram_bw_));
+        co_await engine_.delay(transfer_time(len, kDramBw));
         extend_resident(it->second.path, len);
         it->second.bytes += len;
       }
@@ -84,14 +81,14 @@ class CachedClient final : public baselines::StorageClient {
       touch(entry->first, entry->second);
       stats_.hit_bytes += len;
       if (hit_bytes_ctr_ != nullptr) hit_bytes_ctr_->add(len);
-      co_await engine_.delay(transfer_time(len, dram_bw_));
+      co_await engine_.delay(transfer_time(len, kDramBw));
       co_return OkStatus();
     }
     stats_.miss_bytes += len;
     if (miss_bytes_ctr_ != nullptr) miss_bytes_ctr_->add(len);
     Status s = co_await inner_->read(fd, len);
     if (s.ok()) {
-      co_await engine_.delay(transfer_time(len, dram_bw_));
+      co_await engine_.delay(transfer_time(len, kDramBw));
       extend_resident(it->second.path, len);
     }
     co_return s;
@@ -153,6 +150,9 @@ class CachedClient final : public baselines::StorageClient {
   }
 
  private:
+  /// DRAM copy bandwidth (a memcpy into or out of the cache).
+  static constexpr uint64_t kDramBw = 8_GBps;
+
   struct OpenFile {
     std::string path;
     bool writing = false;
@@ -221,7 +221,6 @@ class CachedClient final : public baselines::StorageClient {
   sim::Engine& engine_;
   std::unique_ptr<baselines::StorageClient> inner_;
   uint64_t capacity_;
-  uint64_t dram_bw_;
   std::map<std::string, Entry> entries_;
   std::list<std::string> lru_;  // front = most recent
   std::map<int, OpenFile> open_;

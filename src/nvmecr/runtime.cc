@@ -2,6 +2,7 @@
 
 #include "common/log.h"
 #include "hw/block_device.h"
+#include "kernelfs/kernel_costs.h"
 #include "simcore/trace.h"
 
 namespace nvmecr::nvmecr_rt {
@@ -13,16 +14,13 @@ namespace {
 /// Kernel-path per-command costs for the Figure-2 configuration: trap +
 /// VFS + block layer on submission; interrupt + context switch on
 /// completion (the nvme_rdma/nvmet_rdma path's host share).
-nvmf::OverheadCosts kernel_path_costs(const kernelfs::KernelCosts& k) {
-  using namespace nvmecr::literals;
-  return nvmf::OverheadCosts{
-      // Trap + VFS + block layer + nvme_rdma request setup.
-      .per_op_submit = k.syscall_trap + k.vfs_per_op +
-                       k.block_layer_per_req + 2_us,
-      // Interrupt + softirq completion + context switch back.
-      .per_op_complete = k.interrupt_per_req + 2_us,
-  };
-}
+constexpr nvmf::OverheadCosts kKernelPathCosts{
+    // Trap + VFS + block layer + nvme_rdma request setup.
+    .per_op_submit = kernelfs::kSyscallTrap + kernelfs::kVfsPerOp +
+                     kernelfs::kBlockLayerPerReq + 2_us,
+    // Interrupt + softirq completion + context switch back.
+    .per_op_complete = kernelfs::kInterruptPerReq + 2_us,
+};
 
 }  // namespace
 
@@ -122,8 +120,7 @@ class NvmecrClient final : public baselines::StorageClient {
     hw::BlockDevice* chain = base_dev_.get();
     if (!system_.config_.userspace) {
       kernel_wrap_ = std::make_unique<nvmf::OverheadDevice>(
-          system_.cluster_.engine(), *chain,
-          kernel_path_costs(system_.config_.kernel_costs), &kernel_time_);
+          system_.cluster_.engine(), *chain, kKernelPathCosts, &kernel_time_);
       chain = kernel_wrap_.get();
     }
 

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "baselines/storage_api.h"
-#include "kernelfs/kernel_costs.h"
 #include "microfs/microfs.h"
 #include "minimpi/comm.h"
 #include "nvmecr/cluster.h"
@@ -50,8 +49,6 @@ struct RuntimeConfig {
   /// Remote SSDs over NVMf (deployment mode) vs the compute node's local
   /// SSD (Figures 7(c)/8(a) local runs; requires ClusterSpec.local_ssds).
   bool remote = true;
-
-  kernelfs::KernelCosts kernel_costs;
 
   /// Optional hook applied to the qpair device right after connect()
   /// (remote mode only): receives the raw remote BlockDevice plus the

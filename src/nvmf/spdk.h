@@ -16,12 +16,12 @@ namespace nvmecr::nvmf {
 /// with SPDK-calibre per-command software cost.
 class SpdkLocalDevice final : public hw::BlockDevice {
  public:
-  static StatusOr<std::unique_ptr<SpdkLocalDevice>> open(
-      hw::NvmeSsd& ssd, uint32_t nsid, SimDuration per_cmd_cpu = 300 /*ns*/) {
+  static StatusOr<std::unique_ptr<SpdkLocalDevice>> open(hw::NvmeSsd& ssd,
+                                                          uint32_t nsid) {
     auto queue = ssd.alloc_queue();
     if (!queue.ok()) return queue.status();
     return std::unique_ptr<SpdkLocalDevice>(
-        new SpdkLocalDevice(ssd, nsid, *queue, per_cmd_cpu));
+        new SpdkLocalDevice(ssd, nsid, *queue));
   }
 
   ~SpdkLocalDevice() override { ssd_.free_queue(queue_id_); }
@@ -42,14 +42,16 @@ class SpdkLocalDevice final : public hw::BlockDevice {
   uint32_t queue_id() const { return queue_id_; }
 
  private:
-  SpdkLocalDevice(hw::NvmeSsd& ssd, uint32_t nsid, uint32_t queue_id,
-                  SimDuration per_cmd_cpu)
+  /// Driver CPU per submitted command (polled completion costs nothing).
+  static constexpr SimDuration kPerCmdCpu = 300;  // ns
+
+  SpdkLocalDevice(hw::NvmeSsd& ssd, uint32_t nsid, uint32_t queue_id)
       : ssd_(ssd),
         queue_id_(queue_id),
         raw_(ssd.open_queue(nsid, queue_id)),
         wrapped_(std::make_unique<OverheadDevice>(
             ssd.engine(), *raw_,
-            OverheadCosts{.per_op_submit = per_cmd_cpu,
+            OverheadCosts{.per_op_submit = kPerCmdCpu,
                           .per_op_complete = 0})) {}
 
   hw::NvmeSsd& ssd_;

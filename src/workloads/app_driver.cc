@@ -13,8 +13,12 @@ namespace nvmecr::workloads {
 
 namespace {
 /// Real solver state per rank, in doubles. Deliberately independent of
-/// the simulated stream size (io profile).
+/// the simulated stream size (AppRunParams::stream_bytes).
 constexpr uint32_t kStateElems = 192;
+/// Application write/read granularity of the checkpoint stream, and the
+/// header record written ahead of its body.
+constexpr uint64_t kIoChunk = 1_MiB;
+constexpr uint64_t kHeaderBytes = 256;
 }  // namespace
 
 const char* kill_point_name(KillPoint p) {
@@ -47,8 +51,8 @@ std::string app_checkpoint_path(const AppSpec& spec, uint32_t epoch,
 std::vector<uint32_t> CheckpointLedger::committed_epochs(
     uint32_t nranks) const {
   std::map<uint32_t, uint32_t> count;
-  for (const auto& [k, rec] : entries_) {
-    if (rec.committed) ++count[static_cast<uint32_t>(k & 0xFFFFFFFFu)];
+  for (const auto& entry : entries_) {
+    ++count[static_cast<uint32_t>(entry.first & 0xFFFFFFFFu)];
   }
   std::vector<uint32_t> out;
   for (auto it = count.rbegin(); it != count.rend(); ++it) {
@@ -81,9 +85,9 @@ AppDriver::AppDriver(nvmecr_rt::Cluster& cluster,
       pfs_(pfs),
       spec_(spec),
       params_(std::move(params)) {
-  NVMECR_CHECK(params_.io.nranks > 0);
+  NVMECR_CHECK(params_.ranks > 0);
   comm_ = minimpi::Comm::world(cluster_.engine(),
-                               static_cast<int>(params_.io.nranks));
+                               static_cast<int>(params_.ranks));
 }
 
 AppDriver::~AppDriver() = default;
@@ -105,7 +109,7 @@ Status AppDriver::ensure_connected() {
 }
 
 sim::Task<void> AppDriver::connect_task(Status& out) {
-  const uint32_t nranks = params_.io.nranks;
+  const uint32_t nranks = params_.ranks;
   sessions_.resize(nranks);
   for (uint32_t r = 0; r < nranks; ++r) {
     auto c = co_await fast_.connect(static_cast<int>(r));
@@ -147,15 +151,14 @@ sim::Task<Status> AppDriver::write_checkpoint(uint32_t rank, uint32_t epoch,
   baselines::StorageClient& tier =
       on_pfs ? *pfs_sessions_[rank] : *sessions_[rank];
   const std::string path = app_checkpoint_path(spec_, epoch, rank);
-  const uint64_t body =
-      params_.io.atoms_per_rank * params_.io.bytes_per_atom;
+  const uint64_t body = params_.stream_bytes;
 
   auto fd = co_await tier.create(path);
   NVMECR_CO_RETURN_IF_ERROR(fd.status());
-  Status s = co_await tier.write(*fd, params_.io.header_bytes);
+  Status s = co_await tier.write(*fd, kHeaderBytes);
   uint64_t written = 0;
   while (s.ok() && written < body) {
-    const uint64_t piece = std::min(params_.io.io_chunk, body - written);
+    const uint64_t piece = std::min(kIoChunk, body - written);
     s = co_await tier.write(*fd, piece);
     written += piece;
     if (mid_kill && s.ok() && written * 2 >= body) {
@@ -177,22 +180,6 @@ sim::Task<Status> AppDriver::write_checkpoint(uint32_t rank, uint32_t epoch,
                      states_[rank]->digest_seed());
   rec.residual = residual;
   rec.on_pfs = on_pfs;
-  rec.committed = true;
-
-  // Retire checkpoints beyond the retention window (same tier), and
-  // uncommit their ledger entries so restart never probes for them.
-  if (epoch + 1 > params_.io.keep_last) {
-    const uint32_t old_epoch = epoch - params_.io.keep_last;
-    CheckpointRecord* old_rec = ledger_.find_mutable(rank, old_epoch);
-    if (old_rec != nullptr && old_rec->committed) {
-      baselines::StorageClient& old_tier =
-          old_rec->on_pfs ? *pfs_sessions_[rank] : *sessions_[rank];
-      NVMECR_CO_RETURN_IF_ERROR(
-          co_await old_tier.unlink(app_checkpoint_path(spec_, old_epoch,
-                                                       rank)));
-      old_rec->committed = false;
-    }
-  }
   co_return OkStatus();
 }
 
@@ -201,14 +188,13 @@ sim::Task<void> AppDriver::epoch_loop(uint32_t rank, uint32_t start,
   sim::Engine& eng = cluster_.engine();
   Rng rng(mix64(params_.seed ^ 0xA44DD81FEull) ^
           (static_cast<uint64_t>(rank) << 20));
-  const uint32_t epochs = params_.io.checkpoints;
-  for (uint32_t epoch = start; epoch < epochs; ++epoch) {
+  for (uint32_t epoch = start; epoch < params_.epochs; ++epoch) {
     // Compute phase (jitter models per-rank load imbalance; it moves
     // sim time only — the state advance below is time-independent, so
     // restarted runs recompute bit-identical residuals).
-    const double jitter = rng.jitter(params_.io.compute_jitter);
+    const double jitter = rng.jitter(spec_.jitter);
     co_await eng.delay(static_cast<SimDuration>(
-        static_cast<double>(params_.io.compute_per_period) * jitter));
+        static_cast<double>(params_.compute_per_period) * jitter));
 
     // Two-reduction epoch protocol (apps.h).
     const double l1 = states_[rank]->compute(epoch);
@@ -249,7 +235,7 @@ sim::Task<void> AppDriver::epoch_loop(uint32_t rank, uint32_t start,
 sim::Task<void> AppDriver::probe_task(
     const RestorePlan& plan, std::vector<nvmecr_rt::RestoreSource>& chosen,
     uint32_t& epoch_out, bool& done) {
-  const uint32_t nranks = params_.io.nranks;
+  const uint32_t nranks = params_.ranks;
   for (uint32_t e : ledger_.committed_epochs(nranks)) {
     bool all = true;
     for (uint32_t r = 0; r < nranks && all; ++r) {
@@ -309,8 +295,7 @@ sim::Task<void> AppDriver::restore_and_resume(uint32_t rank, uint32_t epoch,
   const CheckpointRecord* rec = ledger_.find(rank, epoch);
   NVMECR_CHECK(rec != nullptr && source.client != nullptr);
   const std::string path = app_checkpoint_path(spec_, epoch, rank);
-  const uint64_t body =
-      params_.io.atoms_per_rank * params_.io.bytes_per_atom;
+  const uint64_t body = params_.stream_bytes;
 
   // Replay the checkpoint read through the chosen source (reconstruction
   // and failover sources charge their own materialization costs here).
@@ -319,10 +304,10 @@ sim::Task<void> AppDriver::restore_and_resume(uint32_t rank, uint32_t epoch,
     ctx.record_error(fd.status());
     co_return;
   }
-  Status s = co_await source.client->read(*fd, params_.io.header_bytes);
+  Status s = co_await source.client->read(*fd, kHeaderBytes);
   uint64_t got = 0;
   while (s.ok() && got < body) {
-    const uint64_t piece = std::min(params_.io.io_chunk, body - got);
+    const uint64_t piece = std::min(kIoChunk, body - got);
     s = co_await source.client->read(*fd, piece);
     got += piece;
   }
@@ -334,7 +319,7 @@ sim::Task<void> AppDriver::restore_and_resume(uint32_t rank, uint32_t epoch,
 
   // Rebuild the solver state from the committed snapshot and prove it
   // is the state the digest was taken over.
-  auto st = make_rank_state(spec_, rank, params_.io.nranks, params_.seed,
+  auto st = make_rank_state(spec_, rank, params_.ranks, params_.seed,
                             kStateElems);
   s = st->deserialize(
       std::span<const std::byte>(rec->snapshot.data(), rec->snapshot.size()));
@@ -352,7 +337,6 @@ sim::Task<void> AppDriver::restore_and_resume(uint32_t rank, uint32_t epoch,
 StatusOr<AppRunResult> AppDriver::finish_run(RunCtx& ctx) {
   if (!ctx.first_error.ok()) return ctx.first_error;
   AppRunResult res;
-  res.app = spec_.name;
   res.first_epoch = ctx.first_epoch;
   res.residuals = std::move(ctx.residuals);
   res.killed = ctx.killed;
@@ -370,7 +354,7 @@ StatusOr<AppRunResult> AppDriver::run(const KillSpec& kill) {
   Status s = ensure_connected();
   if (!s.ok()) return s;
   sim::Engine& eng = cluster_.engine();
-  const uint32_t nranks = params_.io.nranks;
+  const uint32_t nranks = params_.ranks;
 
   states_.clear();
   states_.resize(nranks);
@@ -392,7 +376,7 @@ StatusOr<AppRunResult> AppDriver::restart(const RestorePlan& plan,
   Status s = ensure_connected();
   if (!s.ok()) return s;
   sim::Engine& eng = cluster_.engine();
-  const uint32_t nranks = params_.io.nranks;
+  const uint32_t nranks = params_.ranks;
 
   std::vector<nvmecr_rt::RestoreSource> chosen(nranks);
   uint32_t epoch = kNoRestoreEpoch;
@@ -432,7 +416,6 @@ StatusOr<AppRunResult> AppDriver::restart(const RestorePlan& plan,
   if (!s.ok()) return s;
   auto res = finish_run(ctx);
   if (!res.ok()) return res;
-  res->restored = true;
   res->from_initial = epoch == kNoRestoreEpoch;
   res->restored_epoch = epoch;
   return res;

@@ -8,11 +8,12 @@
 //
 //   * real application state. Each rank owns an AppRankState advanced
 //     by two global reductions per epoch (minimpi::allreduce_sum); the
-//     simulated checkpoint stream still carries the profile's bytes
-//     (the storage API is length-only), while the *actual* serialized
-//     solver state + CRC64 digest + epoch residual are recorded in a
-//     per-driver CheckpointLedger, committed only when the stream's
-//     close() succeeded on the device.
+//     simulated checkpoint stream carries AppRunParams::stream_bytes
+//     per rank (the storage API is length-only), while the *actual*
+//     serialized solver state + CRC64 digest + epoch residual are
+//     recorded in a per-driver CheckpointLedger once the stream's
+//     close() succeeded on the device. Every epoch's checkpoint is
+//     kept, so any committed epoch is a restart candidate.
 //
 //   * kill-and-restore. run() can kill the application at a configured
 //     epoch — before, in the middle of (half the stream written, fd
@@ -69,11 +70,11 @@ const char* kill_point_name(KillPoint p);
 /// The simulation's storage API carries no payload bytes, so the real
 /// serialized solver state lives here — the stand-in for what a
 /// checkpoint library would read back from the verified stream.
+/// An entry exists only once the epoch's stream was closed on the device.
 struct CheckpointRecord {
   uint64_t digest = 0;   // CRC64 of `snapshot`, rank-seeded
   double residual = 0.0; // epoch residual at checkpoint time
   bool on_pfs = false;   // routed to the PFS tier (multi-level policy)
-  bool committed = false;  // close() succeeded; cleared on unlink
   std::vector<std::byte> snapshot;
 };
 
@@ -86,12 +87,8 @@ class CheckpointLedger {
     auto it = entries_.find(key(rank, epoch));
     return it == entries_.end() ? nullptr : &it->second;
   }
-  CheckpointRecord* find_mutable(uint32_t rank, uint32_t epoch) {
-    auto it = entries_.find(key(rank, epoch));
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-  /// Epochs committed (and still retained) by every one of `nranks`
-  /// ranks, newest first — the restart candidates.
+  /// Epochs committed by every one of `nranks` ranks, newest first —
+  /// the restart candidates.
   std::vector<uint32_t> committed_epochs(uint32_t nranks) const;
 
  private:
@@ -102,10 +99,14 @@ class CheckpointLedger {
 };
 
 struct AppRunParams {
-  /// IO profile + schedule: nranks, epoch count (io.checkpoints), per-
-  /// epoch compute + jitter, checkpoint stream sizes, retention window.
-  /// (do_recovery is ignored — restart is the driver's own phase.)
-  ComdParams io;
+  uint32_t ranks = 4;
+  /// Epochs per run; each ends in one checkpoint per rank.
+  uint32_t epochs = 5;
+  /// Simulated checkpoint body per rank per epoch (after a fixed
+  /// header). The verified solver state is independent of it.
+  uint64_t stream_bytes = 2_MiB;
+  /// Compute phase per epoch, scaled per rank by the spec's jitter.
+  SimDuration compute_per_period = 2 * kMillisecond;
   uint64_t seed = 0x5EED;
   /// Every `pfs_interval`-th checkpoint routes to the PFS system passed
   /// to the constructor (0 = fast tier only).
@@ -125,7 +126,6 @@ struct AppRunParams {
 inline constexpr uint32_t kNoRestoreEpoch = UINT32_MAX;
 
 struct AppRunResult {
-  std::string app;
   /// Epoch residuals[0] belongs to (0 for a fresh run, restored
   /// epoch + 1 after a restart).
   uint32_t first_epoch = 0;
@@ -135,7 +135,6 @@ struct AppRunResult {
   std::vector<uint64_t> rank_digests;
   uint64_t job_digest = 0;
   bool killed = false;
-  bool restored = false;      // produced by restart()
   bool from_initial = false;  // no committed checkpoint: restarted fresh
   uint32_t restored_epoch = kNoRestoreEpoch;
   SimDuration total_time = 0;
@@ -177,8 +176,6 @@ class AppDriver {
   StatusOr<AppRunResult> restart(const RestorePlan& plan = {},
                                  const KillSpec& kill = {});
 
-  const AppSpec& spec() const { return spec_; }
-  const AppRunParams& params() const { return params_; }
   CheckpointLedger& ledger() { return ledger_; }
   /// Rank's live fast-tier session (nullptr before the first run).
   baselines::StorageClient* session(uint32_t rank);

@@ -315,14 +315,9 @@ TEST(FsckAllTest, HealthyRunIsClean) {
   const workloads::AppSpec* app = workloads::find_app("CoMD");
   ASSERT_NE(app, nullptr);
   workloads::AppRunParams p;
-  p.io = workloads::io_params_for(*app, 4);
-  p.io.procs_per_node = 4;
-  p.io.atoms_per_rank = 2048;
-  p.io.bytes_per_atom = 512;
-  p.io.io_chunk = 1_MiB;
-  p.io.checkpoints = 3;
-  p.io.compute_per_period = 2 * kMillisecond;
-  p.io.keep_last = 4;
+  p.ranks = 4;
+  p.epochs = 3;
+  p.stream_bytes = 1_MiB;
   workloads::AppDriver driver(cluster, sys, *app, p);
   auto r = driver.run();
   ASSERT_TRUE(r.ok()) << r.status().to_string();

@@ -12,7 +12,6 @@ namespace nvmecr {
 namespace {
 
 using namespace nvmecr::literals;
-using kernelfs::KernelCosts;
 using kernelfs::LocalFs;
 using kernelfs::LocalFsParams;
 
@@ -168,8 +167,7 @@ TEST(LocalFsTest, RecreatedPathDoesNotSeeUnlinkedFileWrites) {
     const uint64_t reads_before = ssd.counters().read_commands;
     const SimTime before = e.now();
     EXPECT_TRUE((co_await fs2.read(*fd2, 1_MiB)).ok());
-    const KernelCosts costs;
-    EXPECT_EQ(e.now() - before, costs.syscall_trap + costs.vfs_per_op);
+    EXPECT_EQ(e.now() - before, kernelfs::kSyscallTrap + kernelfs::kVfsPerOp);
     EXPECT_EQ(ssd.counters().read_commands, reads_before);
   }(f.eng, f.ssd, fs));
   EXPECT_EQ(fs.create_count(), 2u);

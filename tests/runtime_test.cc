@@ -6,10 +6,8 @@
 #include <algorithm>
 #include <set>
 
-#include "baselines/consistent_hash.h"
 #include "baselines/models.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "nvmecr/balancer.h"
 #include "nvmecr/cluster.h"
 #include "nvmecr/multilevel.h"
@@ -102,44 +100,6 @@ TEST(BalancerTest, PartnerDomainsSortedByDistance) {
   auto partners = StorageBalancer::partner_domains(topo, 0, storage);
   ASSERT_EQ(partners.size(), 1u);
   EXPECT_EQ(partners[0], 1u);
-}
-
-// ---------------------------------------------------------------------
-// Consistent hashing ring (GlusterFS-era placement primitive)
-// ---------------------------------------------------------------------
-
-TEST(ConsistentHashTest, DeterministicPlacement) {
-  baselines::ConsistentHashRing ring(8, 16);
-  EXPECT_EQ(ring.points(), 8u * 16u);
-  const uint32_t s = ring.place("/ckpt/rank0");
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(ring.place("/ckpt/rank0"), s);
-  EXPECT_LT(s, 8u);
-}
-
-TEST(ConsistentHashTest, SpreadsKeysAcrossServers) {
-  baselines::ConsistentHashRing ring(8, 64);
-  std::vector<int> counts(8, 0);
-  for (int i = 0; i < 4000; ++i) {
-    ++counts[ring.place("/file" + std::to_string(i))];
-  }
-  for (int c : counts) {
-    EXPECT_GT(c, 150);  // every server gets a meaningful share
-    EXPECT_LT(c, 1500);
-  }
-}
-
-TEST(ConsistentHashTest, MoreVnodesLowerVariance) {
-  auto cov = [](uint32_t vnodes) {
-    baselines::ConsistentHashRing ring(8, vnodes);
-    StreamingStats stats;
-    std::vector<int> counts(8, 0);
-    for (int i = 0; i < 8000; ++i) {
-      ++counts[ring.place("k" + std::to_string(i))];
-    }
-    for (int c : counts) stats.add(c);
-    return stats.cov();
-  };
-  EXPECT_GT(cov(2), cov(128));
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,7 @@
 // Run:  ./build/examples/chaos_campaign --schedules 200
 //       ./build/examples/chaos_campaign --quick           (50 schedules)
 //       ./build/examples/chaos_campaign --replay-seed 17 --events 0,3,5
-//       ./build/examples/chaos_campaign --replay storm.schedule
+//       ./build/examples/chaos_campaign --replay storm.schedule  (its epochs)
 //       ./build/examples/chaos_campaign --dump 3 --dump-to s.schedule
 //
 // Exit codes (shared with fault_storm / restart_verify, chaos/campaign.h):
@@ -159,7 +159,8 @@ int main(int argc, char** argv) {
     return kExitOk;
   }
 
-  // --replay FILE: parse a serialized schedule and run it once.
+  // --replay FILE: parse a serialized schedule and run it once, with the
+  // epochs of the campaign that dumped it.
   if (!cli.replay_file.empty()) {
     std::ifstream in(cli.replay_file);
     if (!in) {
@@ -174,7 +175,8 @@ int main(int argc, char** argv) {
                    sched.status().to_string().c_str());
       return kExitUsage;
     }
-    return replay(runner, *sched, nullptr);
+    CampaignRunner file_runner(replay_config(cfg, *sched));
+    return replay(file_runner, *sched, nullptr);
   }
 
   // --replay-seed S [--events ...]: regenerate schedule with seed S.
@@ -233,8 +235,8 @@ int main(int argc, char** argv) {
                reproducer_line(cfg, res.violating_schedule, subset).c_str());
   std::ofstream dump(cli.dump_to);
   dump << serialize_schedule(res.violating_schedule);
-  std::fprintf(stderr, "schedule dumped to %s (replayable via "
-               "chaos_campaign --replay)\n",
-               cli.dump_to.c_str());
+  std::fprintf(stderr, "schedule dumped to %s (replayable via %s)\n",
+               cli.dump_to.c_str(),
+               replay_file_line(cfg, cli.dump_to).c_str());
   return res.exit_code();
 }

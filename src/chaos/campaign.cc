@@ -330,17 +330,28 @@ std::vector<uint32_t> ddmin(
   return ids;
 }
 
+namespace {
+
+/// " --app A --ranks N", each only when `cfg` differs from the default.
+std::string workload_flags(const CampaignConfig& cfg) {
+  const CampaignConfig def;
+  std::string flags;
+  if (cfg.app != def.app) flags += " --app " + cfg.app;
+  if (cfg.ranks != def.ranks) flags += " --ranks " + std::to_string(cfg.ranks);
+  return flags;
+}
+
+}  // namespace
+
 std::string reproducer_line(const CampaignConfig& cfg,
                             const FailureSchedule& sched,
                             const std::vector<uint32_t>& subset) {
   char seed[32];
   std::snprintf(seed, sizeof(seed), "0x%llx",
                 static_cast<unsigned long long>(sched.params.seed));
-  std::string line = std::string("chaos_campaign --replay-seed ") + seed;
-  const CampaignConfig def;
-  if (cfg.app != def.app) line += " --app " + cfg.app;
-  if (cfg.ranks != def.ranks) line += " --ranks " + std::to_string(cfg.ranks);
-  if (cfg.epochs != def.epochs) {
+  std::string line =
+      std::string("chaos_campaign --replay-seed ") + seed + workload_flags(cfg);
+  if (cfg.epochs != CampaignConfig().epochs) {
     line += " --epochs " + std::to_string(cfg.epochs);
   }
   if (!subset.empty() && subset.size() < sched.events.size()) {
@@ -351,6 +362,17 @@ std::string reproducer_line(const CampaignConfig& cfg,
     }
   }
   return line;
+}
+
+CampaignConfig replay_config(CampaignConfig cfg,
+                             const FailureSchedule& sched) {
+  cfg.epochs = sched.params.epochs;
+  return cfg;
+}
+
+std::string replay_file_line(const CampaignConfig& cfg,
+                             const std::string& path) {
+  return "chaos_campaign --replay " + path + workload_flags(cfg);
 }
 
 }  // namespace nvmecr::chaos

@@ -144,4 +144,14 @@ std::string reproducer_line(const CampaignConfig& cfg,
                             const FailureSchedule& sched,
                             const std::vector<uint32_t>& subset);
 
+/// The campaign a dumped schedule replays under: `cfg`'s app and ranks,
+/// which the file does not carry, and the schedule's own epochs.
+CampaignConfig replay_config(CampaignConfig cfg, const FailureSchedule& sched);
+
+/// How to replay a schedule that a campaign over `cfg` dumped to `path`:
+/// `chaos_campaign --replay PATH` with each of `cfg`'s app and ranks that
+/// differs from the default (the file carries the epochs).
+std::string replay_file_line(const CampaignConfig& cfg,
+                             const std::string& path);
+
 }  // namespace nvmecr::chaos

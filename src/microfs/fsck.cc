@@ -2,7 +2,7 @@
 // device-resident directory files, and the operation log. See
 // microfs/fsck.h for the invariant list.
 #include <map>
-#include <set>
+#include <vector>
 
 #include "microfs/microfs.h"
 
@@ -59,7 +59,8 @@ sim::Task<StatusOr<FsckReport>> MicroFs::fsck() {
 
   // --- extents vs the block pool ----------------------------------------
   const uint64_t B = options_.hugeblock_size;
-  std::set<uint64_t> referenced;
+  // One bit per pool block: set once a run has claimed the block.
+  std::vector<uint64_t> referenced((pool_.total() + 63) / 64);
   inodes_.for_each([&](const Inode& inode) {
     if (inode.type == InodeType::kDirectory) {
       ++report.directories;
@@ -86,16 +87,20 @@ sim::Task<StatusOr<FsckReport>> MicroFs::fsck() {
           flag("inode " + std::to_string(inode.ino) + ": block " +
                std::to_string(b) + " referenced but free in the pool");
         }
-        if (!referenced.insert(b).second) {
+        uint64_t& word = referenced[b / 64];
+        const uint64_t bit = 1ull << (b % 64);
+        if ((word & bit) != 0) {
           flag("block " + std::to_string(b) + " referenced by two extents");
+        } else {
+          word |= bit;
+          ++report.blocks_referenced;
         }
       }
     }
   });
-  report.blocks_referenced = referenced.size();
-  if (pool_.allocated_count() != referenced.size()) {
+  if (pool_.allocated_count() != report.blocks_referenced) {
     flag("pool: " + std::to_string(pool_.allocated_count()) +
-         " blocks allocated but " + std::to_string(referenced.size()) +
+         " blocks allocated but " + std::to_string(report.blocks_referenced) +
          " referenced (leak or lost block)");
   }
 

@@ -241,18 +241,18 @@ sim::Task<void> ResilientSystem::heal_node(fabric::NodeId node) {
 }
 
 sim::Task<void> ResilientSystem::healer(SimTime until) {
+  std::vector<fabric::NodeId> nodes;  // refilled by every scan below
   while (cluster_.engine().now() + kHealPeriod <= until) {
     co_await cluster_.engine().delay(kHealPeriod);
     // Heal files whose primary answers again (kHealing), and also any
     // stragglers that closed degraded after their node already recovered.
-    for (fabric::NodeId node : monitor_.nodes_in_state(TargetState::kHealing)) {
-      co_await heal_node(node);
-    }
-    for (fabric::NodeId node : monitor_.nodes_in_state(TargetState::kHealthy)) {
-      co_await heal_node(node);
-    }
+    monitor_.nodes_in_state(TargetState::kHealing, nodes);
+    for (fabric::NodeId node : nodes) co_await heal_node(node);
+    monitor_.nodes_in_state(TargetState::kHealthy, nodes);
+    for (fabric::NodeId node : nodes) co_await heal_node(node);
     // A healing node with no complete degraded files left is done.
-    for (fabric::NodeId node : monitor_.nodes_in_state(TargetState::kHealing)) {
+    monitor_.nodes_in_state(TargetState::kHealing, nodes);
+    for (fabric::NodeId node : nodes) {
       bool remaining = false;
       for (const auto& [rank, rs] : ranks_) {
         if (primary_node_of(rank) != node) continue;

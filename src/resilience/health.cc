@@ -132,13 +132,12 @@ std::vector<fabric::RackId> HealthMonitor::dead_domains() const {
   return out;
 }
 
-std::vector<fabric::NodeId> HealthMonitor::nodes_in_state(
-    TargetState s) const {
-  std::vector<fabric::NodeId> out;
+void HealthMonitor::nodes_in_state(TargetState s,
+                                   std::vector<fabric::NodeId>& out) const {
+  out.clear();
   for (const auto& [node, t] : targets_) {
     if (t.state == s) out.push_back(node);
   }
-  return out;
 }
 
 sim::Task<void> HealthMonitor::heartbeat(SimTime until) {

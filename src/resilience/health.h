@@ -89,9 +89,10 @@ class HealthMonitor {
   /// sorted ascending — the exclude_domains input for failover placement.
   std::vector<fabric::RackId> dead_domains() const;
 
-  /// Tracked nodes currently in `s`, sorted ascending (the healer scans
-  /// this for kHealing targets).
-  std::vector<fabric::NodeId> nodes_in_state(TargetState s) const;
+  /// Refills `out` with the tracked nodes currently in `s`, sorted
+  /// ascending (the healer scans for kHealing targets every tick and
+  /// reuses one vector's capacity).
+  void nodes_in_state(TargetState s, std::vector<fabric::NodeId>& out) const;
 
   /// Total state transitions (a cheap determinism fingerprint).
   uint64_t transitions() const { return transitions_; }

@@ -155,7 +155,17 @@ void Engine::cal_mature_next() {
           (word << 6) | static_cast<size_t>(std::countr_zero(bits));
       const int64_t bucket =
           from + static_cast<int64_t>((slot - origin) & (kCalBuckets - 1));
-      cal_cur_.swap(cal_buckets_[slot]);  // recycles both capacities
+      // Copy the bucket's list into the drain buffer, then splice the
+      // whole list onto the free list in O(1).
+      const uint32_t head = cal_heads_[slot];
+      uint32_t last = head;
+      for (uint32_t n = head; n != kNil; n = cal_slab_[n].next) {
+        cal_cur_.push_back(cal_slab_[n]);
+        last = n;
+      }
+      cal_slab_[last].next = cal_free_;
+      cal_free_ = head;
+      cal_heads_[slot] = kNil;
       std::sort(cal_cur_.begin(), cal_cur_.end(),
                 [](const Item& a, const Item& b) { return a.earlier_than(b); });
       cal_bitmap_[slot >> 6] &= ~(1ull << (slot & 63));

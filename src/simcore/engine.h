@@ -17,10 +17,12 @@
 //      queue arbitration) go to a FIFO ring with O(1) push/pop.
 //   2. Calendar — strictly-future timestamps within a sliding window of
 //      kCalBuckets fixed-width buckets land in their bucket with an O(1)
-//      unsorted append; a bucket is sorted once when it matures and then
-//      drained as one contiguous FIFO. This is where the bulk of a real
-//      run's events live: perf_determinism_test's 28-rank golden run
-//      serves over 99% of its dispatches from here.
+//      unsorted push onto the bucket's list; a bucket is sorted once when
+//      it matures and then drained as one contiguous FIFO. Every
+//      bucket's list lives in one node slab with a free list, so the
+//      calendar's memory tracks pending events. This is where the bulk
+//      of a real run's events live: perf_determinism_test's 28-rank
+//      golden run serves over 99% of its dispatches from here.
 //   3. Binary min-heap — timestamps beyond the calendar window. The
 //      window re-anchors at the current time whenever the calendar
 //      drains, pulling everything below the new window limit back down
@@ -40,6 +42,7 @@
 //     matured future entries first.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -59,7 +62,8 @@ class Engine {
   Engine() {
     heap_.reserve(kInitialCapacity);
     ring_.resize(kInitialCapacity);
-    cal_buckets_.resize(kCalBuckets);
+    cal_slab_.reserve(kInitialCapacity);
+    std::fill_n(cal_heads_, kCalBuckets, kNil);
   }
   ~Engine();
   Engine(const Engine&) = delete;
@@ -75,7 +79,7 @@ class Engine {
     if (t <= now_) {
       ring_push(Ready{seq_++, h, profile_ctx_});
     } else {
-      future_push(Item{t, seq_++, h, profile_ctx_});
+      future_push(Item{t, seq_++, h, profile_ctx_, kNil});
     }
   }
 
@@ -204,18 +208,21 @@ class Engine {
   static constexpr int kCalShift = 14;        // log2(bucket width in ns)
   static constexpr size_t kCalBuckets = 512;  // power of two
   static constexpr size_t kCalWords = kCalBuckets / 64;
+  static constexpr uint32_t kNil = UINT32_MAX;  // empty bucket / list end
 
   struct Item {
     SimTime time;
     uint64_t seq;
     std::coroutine_handle<> handle;
-    uint32_t ctx;  // profile context captured at schedule time
+    uint32_t ctx;   // profile context captured at schedule time
+    uint32_t next;  // calendar slab link (fills padding; unused elsewhere)
     /// Min order: earliest time first, FIFO within a time.
     bool earlier_than(const Item& other) const {
       if (time != other.time) return time < other.time;
       return seq < other.seq;
     }
   };
+  static_assert(sizeof(Item) == 32, "the slab link must fit the padding");
 
   struct Ready {
     uint64_t seq;
@@ -279,7 +286,18 @@ class Engine {
     const int64_t b = item.time >> kCalShift;
     if (b > cal_cur_bucket_) {
       const size_t slot = static_cast<size_t>(b) & (kCalBuckets - 1);
-      cal_buckets_[slot].push_back(item);
+      // Link a slab node at the bucket's head: a recycled one, else a
+      // new one at the slab's end.
+      item.next = cal_heads_[slot];
+      uint32_t node = cal_free_;
+      if (node != kNil) {
+        cal_free_ = cal_slab_[node].next;
+        cal_slab_[node] = item;
+      } else {
+        node = static_cast<uint32_t>(cal_slab_.size());
+        cal_slab_.push_back(item);
+      }
+      cal_heads_[slot] = node;
       cal_bitmap_[slot >> 6] |= 1ull << (slot & 63);
       ++cal_count_;
       return;
@@ -325,12 +343,18 @@ class Engine {
   size_t ring_size_ = 0;
   std::vector<std::coroutine_handle<>> pending_destroy_;  // live root frames
   std::vector<std::coroutine_handle<>> finished_roots_;
-  // Calendar state. cal_cur_ is the sorted drain buffer for the bucket
-  // most recently matured (cal_cur_bucket_); cal_count_ counts every
-  // undispatched calendar-resident event (buckets + drain tail).
-  // cal_limit_ is the exclusive window end: heap times are always >= it.
-  // It starts at 0 (calendar disengaged) until the first rotation.
-  std::vector<std::vector<Item>> cal_buckets_;
+  // Calendar state. Each bucket is a list of cal_slab_ nodes headed at
+  // cal_heads_[slot] (kNil when empty, mirrored by cal_bitmap_); nodes
+  // of matured buckets go back on the cal_free_ list, so the slab only
+  // grows to the most events ever resident in buckets at once.
+  // cal_cur_ is the sorted drain buffer for the bucket most recently
+  // matured (cal_cur_bucket_); cal_count_ counts every undispatched
+  // calendar-resident event (buckets + drain tail). cal_limit_ is the
+  // exclusive window end: heap times are always >= it. It starts at 0
+  // (calendar disengaged) until the first rotation.
+  std::vector<Item> cal_slab_;
+  uint32_t cal_heads_[kCalBuckets];
+  uint32_t cal_free_ = kNil;
   uint64_t cal_bitmap_[kCalWords] = {};
   std::vector<Item> cal_cur_;
   size_t cal_pos_ = 0;

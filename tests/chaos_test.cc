@@ -450,6 +450,38 @@ TEST(CampaignTest, SubsetRestrictsInjection) {
   EXPECT_FALSE(out.violation());
 }
 
+// A dumped schedule replays under the epochs of the campaign that dumped
+// it: `--epochs 8 --dump 3` then `--replay` ends where `--replay-seed 4
+// --epochs 8` does, not at the 5-epoch 171,083,180 ns.
+TEST(CampaignTest, ReplayedFileRunsTheDumpingCampaignsEpochs) {
+  CampaignConfig eight;
+  eight.epochs = 8;
+  CampaignRunner runner(eight);
+  const FailureSchedule dumped =
+      chaos::generate_schedule(runner.schedule_params(3));
+  auto parsed = chaos::parse_schedule(chaos::serialize_schedule(dumped));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const CampaignConfig cfg = chaos::replay_config(CampaignConfig{}, *parsed);
+  EXPECT_EQ(cfg.epochs, 8u);
+  CampaignRunner replayer(cfg);
+  const chaos::RunOutcome out = replayer.run_schedule(*parsed);
+  EXPECT_EQ(out.verdict, Verdict::kCompleted) << out.status.to_string();
+  EXPECT_EQ(out.run_time, 182'734'110);
+  EXPECT_EQ(out.run_time, runner.run_schedule(dumped).run_time);
+}
+
+TEST(CampaignTest, ReplayFileLineAddsNonDefaultAppAndRanks) {
+  CampaignConfig cfg;
+  EXPECT_EQ(chaos::replay_file_line(cfg, "v.schedule"),
+            "chaos_campaign --replay v.schedule");
+  // The file carries the epochs; the app and ranks come from the flags.
+  cfg.epochs = 8;
+  cfg.ranks = 8;
+  cfg.app = "miniFE-CG";
+  EXPECT_EQ(chaos::replay_file_line(cfg, "v.schedule"),
+            "chaos_campaign --replay v.schedule --app miniFE-CG --ranks 8");
+}
+
 TEST(CampaignTest, ReproducerLineNamesSeedAndSubset) {
   FailureSchedule sched;
   sched.params.seed = 0x2A;

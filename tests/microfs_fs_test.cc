@@ -490,6 +490,50 @@ TEST(MicroFsTest, NoSpaceWriteKeepsNoBlocks) {
   }(*fs));
 }
 
+// fsck counts each hugeblock a file holds once, and the count equals the
+// pool's allocated blocks, also once unlinked files' blocks are reused
+// and after recover() rebuilds the pool from the log.
+TEST(MicroFsTest, FsckCountsEveryAllocatedBlockOnce) {
+  Fixture f;
+  const uint64_t B = Options{}.hugeblock_size;
+  auto allocated = [](const MicroFs& m) {
+    return m.data_region_blocks() - m.free_blocks();
+  };
+  auto check = [&allocated](MicroFs& m, sim::Engine& eng) {
+    auto report = eng.run_task(m.fsck());
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->clean()) << report->to_string();
+    EXPECT_EQ(report->blocks_referenced, allocated(m));
+    // /small 4, /big 20, /g 6, and the root directory file's one block.
+    EXPECT_EQ(report->blocks_referenced, 31u);
+  };
+  {
+    auto fs = f.format();
+    f.eng.run_task([](MicroFs& m, uint64_t hb) -> sim::Task<void> {
+      // /big takes all but 10 blocks, /small 4 of those 10.
+      auto big = co_await m.creat("/big");
+      EXPECT_TRUE(
+          (co_await m.write_tagged(*big, (m.free_blocks() - 10) * hb)).ok());
+      co_await m.close(*big);
+      auto small = co_await m.creat("/small");
+      EXPECT_TRUE((co_await m.write_tagged(*small, 3 * hb + 1)).ok());
+      co_await m.close(*small);
+      // Re-created, /big (20 blocks) and /g (6) wrap the ring into
+      // blocks the first /big held.
+      EXPECT_TRUE((co_await m.unlink("/big")).ok());
+      big = co_await m.creat("/big");
+      EXPECT_TRUE((co_await m.write_tagged(*big, 20 * hb)).ok());
+      co_await m.close(*big);
+      auto g = co_await m.creat("/g");
+      EXPECT_TRUE((co_await m.write_tagged(*g, 5 * hb + 100)).ok());
+      co_await m.close(*g);
+    }(*fs, B));
+    check(*fs, f.eng);
+  }
+  auto fs = f.recover();
+  check(*fs, f.eng);
+}
+
 /// A tagged device command: offset, length, subcmds.
 using TaggedCmd = std::tuple<uint64_t, uint64_t, uint32_t>;
 
